@@ -3,99 +3,43 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"time"
 
 	"hiconc/internal/faultinject"
 	"hiconc/internal/hihash"
 )
 
-// e23Script builds the displacing victim workload of the E23 crash
-// matrix, mirroring the internal/faultinject tests: overload group 0
-// past its slot budget (forcing eviction), churn one key (forcing a
-// flagged remove and a backward-shift pull), then grow (forcing a
-// drain). It returns the steps, the key set the script converges to,
-// and the abstract states reachable after each step (nil first — the
-// empty set — so crash images can be diffed against every candidate).
-func e23Script(domain, groups int) (ops []func(s *hihash.Set), heavy []int, candidates [][]int) {
-	for k := 1; k <= domain && len(heavy) < hihash.SlotsPerGroup+1; k++ {
-		if hihash.GroupOf(k, groups) == 0 {
-			heavy = append(heavy, k)
-		}
-	}
-	candidates = append(candidates, nil)
-	for i := range heavy {
-		k := heavy[i]
-		ops = append(ops, func(s *hihash.Set) { s.Insert(k) })
-		candidates = append(candidates, append([]int(nil), heavy[:i+1]...))
-	}
-	churn := heavy[2]
-	without := make([]int, 0, len(heavy)-1)
-	for _, k := range heavy {
-		if k != churn {
-			without = append(without, k)
-		}
-	}
-	ops = append(ops,
-		func(s *hihash.Set) { s.Remove(churn) },
-		func(s *hihash.Set) { s.Insert(churn) },
-		func(s *hihash.Set) { s.Grow() },
-	)
-	candidates = append(candidates, without, heavy, heavy)
-	return ops, heavy, candidates
-}
-
 func runE23() {
 	fmt.Println("=== E23: adversarial observers — crash exposure and recovery cost")
 	const domain, groups = 8, 2
-	ops, heavy, candidates := e23Script(domain, groups)
+	script := faultinject.OverloadScript(domain, groups)
 
 	// The Kill matrix as a measurement: per steppoint, how many crash
 	// cells the workload reaches, how far the worst stable-geometry image
 	// strays from canonical, and what repairing the wreckage costs.
 	fmt.Println("\n    Kill matrix (displacing set; dist = 64-bit words from the nearest")
-	fmt.Println("    reachable canonical layout; recovery = re-settle keys + grow):")
+	fmt.Println("    reachable canonical layout; recovery = settle keys + grow):")
 	fmt.Printf("%16s %8s %10s %10s %14s\n", "steppoint", "cells", "mid-drain", "max dist", "recovery")
-	const maxOccurrences = 128
-	for sp := hihash.Steppoint(0); sp < hihash.NumSteppoints; sp++ {
-		cells, mid, maxDist := 0, 0, 0
+	newSet := func() *hihash.Set { return hihash.NewDisplaceSet(domain, groups) }
+	cells := faultinject.KillMatrix(newSet, script)
+	for len(cells) > 0 {
+		sp := cells[0].Plan.Point
+		n, mid, maxDist := 0, 0, 0
 		var recovery time.Duration
-		for occ := 1; occ <= maxOccurrences; occ++ {
-			s := hihash.NewDisplaceSet(domain, groups)
-			in := faultinject.Install(faultinject.Plan{Point: sp, Occurrence: occ, Action: faultinject.Kill})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for _, op := range ops {
-					op(s)
-				}
-			}()
-			wg.Wait()
-			in.Uninstall()
-			if !in.DidFire() {
-				break // the workload fires sp fewer than occ times
-			}
-			cells++
-			if d := faultinject.MinCanonicalDistance(s, candidates); d < 0 {
+		for ; n < len(cells) && cells[n].Plan.Point == sp; n++ {
+			c := cells[n]
+			if c.Distance < 0 {
 				mid++ // mid-drain image spans two arrays; geometries differ
-			} else if d > maxDist {
-				maxDist = d
+			} else if c.Distance > maxDist {
+				maxDist = c.Distance
 			}
-			recovery += timeIt(func() {
-				for _, k := range heavy {
-					s.Insert(k)
-				}
-				s.Grow()
-			})
+			recovery += c.Recovery
 		}
-		if cells == 0 {
-			continue
-		}
-		perRecovery := float64(recovery.Nanoseconds()) / float64(cells)
-		fmt.Printf("%16s %8d %10d %10d %11.0f ns\n", sp, cells, mid, maxDist, perRecovery)
+		cells = cells[n:]
+		perRecovery := float64(recovery.Nanoseconds()) / float64(n)
+		fmt.Printf("%16s %8d %10d %10d %11.0f ns\n", sp, n, mid, maxDist, perRecovery)
 		tag := "kill/" + sp.String()
-		record("E23", tag+"/cells", "count", float64(cells))
+		record("E23", tag+"/cells", "count", float64(n))
 		record("E23", tag+"/mid-drain", "count", float64(mid))
 		record("E23", tag+"/max-distance", "words", float64(maxDist))
 		record("E23", tag+"/recovery", "ns/recovery", perRecovery)
@@ -115,11 +59,11 @@ func runE23() {
 		for i := 0; i < pairs; i++ {
 			a := hihash.NewDisplaceSet(domain, groups)
 			b := hihash.NewDisplaceSet(domain, groups)
-			for _, k := range heavy {
+			for _, k := range script.Final {
 				a.Insert(k)
 			}
-			for j := len(heavy) - 1; j >= 0; j-- {
-				b.Insert(heavy[j])
+			for j := len(script.Final) - 1; j >= 0; j-- {
+				b.Insert(script.Final[j])
 			}
 			if !bytes.Equal(a.RawDump(), b.RawDump()) {
 				mismatches++

@@ -23,6 +23,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"sync"
 
@@ -40,22 +42,42 @@ import (
 
 var expFlag = flag.String("exp", "all", "experiments to render: E3, E6, E25 or 'all'")
 
+// renders maps each -exp id to its renderer; -exp is validated against
+// it, so a typo fails loudly instead of silently rendering nothing.
+var renders = []struct {
+	id     string
+	render func()
+}{{"E3", runE3}, {"E6", runE6}, {"E25", runE25}}
+
 func main() {
 	flag.Parse()
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "hitrace:", err)
+		os.Exit(1)
+	}
+}
+
+// run renders the experiments named by -exp in order (split from main
+// so the tests can drive it in-process).
+func run() error {
+	var ids []string
+	for _, r := range renders {
+		ids = append(ids, r.id)
+	}
 	want := map[string]bool{}
 	for _, e := range strings.Split(*expFlag, ",") {
-		want[strings.ToUpper(strings.TrimSpace(e))] = true
+		id := strings.ToUpper(strings.TrimSpace(e))
+		if id != "ALL" && !slices.Contains(ids, id) {
+			return fmt.Errorf("unknown experiment %q in -exp (have %s or 'all')", id, strings.Join(ids, ", "))
+		}
+		want[id] = true
 	}
-	all := want["ALL"]
-	if all || want["E3"] {
-		runE3()
+	for _, r := range renders {
+		if want["ALL"] || want[r.id] {
+			r.render()
+		}
 	}
-	if all || want["E6"] {
-		runE6()
-	}
-	if all || want["E25"] {
-		runE25()
-	}
+	return nil
 }
 
 func runE3() {
@@ -99,15 +121,7 @@ func runE25() {
 	// largest first so the final (smallest, highest-priority) insert must
 	// mark a resident for relocation — the recorded protocol steps show
 	// the displacement happening.
-	var heavy []int
-	for k := 1; k <= domain; k++ {
-		if hihash.GroupOf(k, groups) == 0 {
-			heavy = append(heavy, k)
-		}
-	}
-	if len(heavy) > hihash.SlotsPerGroup+1 {
-		heavy = heavy[:hihash.SlotsPerGroup+1]
-	}
+	heavy := hihash.KeysHomingAt(domain, groups, 0, hihash.SlotsPerGroup+1)
 	flight := hirec.Enable(1 << 10)
 	s := obj.NewHashSetWithGroups(domain, groups)
 	var wg sync.WaitGroup

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 
@@ -55,47 +56,65 @@ var (
 
 func main() {
 	flag.Parse()
-	if !runSelected() {
+	if err := runSelected(); err != nil {
+		fmt.Fprintln(os.Stderr, "hiverify:", err)
 		os.Exit(1)
 	}
 }
 
-// runSelected runs the experiments named by -exp and reports overall
-// success (split from main so the smoke tests can drive it in-process).
-func runSelected() bool {
+// experiments is the suite in run order; -exp is validated against its
+// ids, so a typo fails loudly instead of silently selecting nothing.
+var experiments = []struct {
+	id, title string
+	run       func() error
+}{
+	{"E1", "Algorithm 1 is not history independent (Section 4)", runE1},
+	{"E2", "Table 1: the SWSR register possibility matrix", runE2},
+	{"E6", "Universal construction: linearizable, wait-free, state-quiescent HI (Theorem 32)", runE6},
+	{"E7", "Ablation: removing the RL lines breaks quiescent HI (Lemma 27)", runE7},
+	{"E8", "Ablation: removing the escape hatches breaks wait-freedom", runE8},
+	{"E9", "Algorithm 6: R-LLSC from CAS (Theorem 28)", runE9},
+	{"E13", "Proposition 19: the reader must write", runE13},
+	{"E14", "Section 5.1: max register and set positive results", runE14},
+	{"E15", "Baseline: the Fatourou-Kallimanis-style universal construction is not HI", runE15},
+	{"E21", "HICHT hash table: perfect HI and linearizable; append ablation refuted", runE21},
+	{"E22", "Unbounded HICHT: displacement + online resize are SQHI and linearizable; perfect HI provably lost", runE22},
+	{"E23", "Adversarial observers: twin raw dumps indistinguishable; every crash point recovers to canonical", runE23},
+	{"E25", "Flight recorder: native executions captured and machine-checked for linearizability", runE25},
+	{"E26", "Fast-path reads: lookup-heavy runs linearizable; reads correct against parked marks; twin dumps identical under readers", runE26},
+}
+
+// runSelected runs the experiments named by -exp and reports an unknown
+// id or the ids that failed (split from main so the smoke tests can
+// drive it in-process).
+func runSelected() error {
+	var ids []string
+	for _, e := range experiments {
+		ids = append(ids, e.id)
+	}
 	want := map[string]bool{}
 	for _, e := range strings.Split(*expFlag, ",") {
-		want[strings.ToUpper(strings.TrimSpace(e))] = true
-	}
-	all := want["ALL"]
-	failed := false
-	run := func(id, title string, f func() error) {
-		if !all && !want[id] {
-			return
+		id := strings.ToUpper(strings.TrimSpace(e))
+		if id != "ALL" && !slices.Contains(ids, id) {
+			return fmt.Errorf("unknown experiment %q in -exp (have %s or 'all')", id, strings.Join(ids, ", "))
 		}
-		fmt.Printf("=== %s: %s\n", id, title)
-		if err := f(); err != nil {
-			failed = true
+		want[id] = true
+	}
+	var failed []string
+	for _, e := range experiments {
+		if !want["ALL"] && !want[e.id] {
+			continue
+		}
+		fmt.Printf("=== %s: %s\n", e.id, e.title)
+		if err := e.run(); err != nil {
+			failed = append(failed, e.id)
 			fmt.Printf("    FAILED: %v\n", err)
 		}
 	}
-
-	run("E1", "Algorithm 1 is not history independent (Section 4)", runE1)
-	run("E2", "Table 1: the SWSR register possibility matrix", runE2)
-	run("E6", "Universal construction: linearizable, wait-free, state-quiescent HI (Theorem 32)", runE6)
-	run("E7", "Ablation: removing the RL lines breaks quiescent HI (Lemma 27)", runE7)
-	run("E8", "Ablation: removing the escape hatches breaks wait-freedom", runE8)
-	run("E9", "Algorithm 6: R-LLSC from CAS (Theorem 28)", runE9)
-	run("E13", "Proposition 19: the reader must write", runE13)
-	run("E14", "Section 5.1: max register and set positive results", runE14)
-	run("E15", "Baseline: the Fatourou-Kallimanis-style universal construction is not HI", runE15)
-	run("E21", "HICHT hash table: perfect HI and linearizable; append ablation refuted", runE21)
-	run("E22", "Unbounded HICHT: displacement + online resize are SQHI and linearizable; perfect HI provably lost", runE22)
-	run("E23", "Adversarial observers: twin raw dumps indistinguishable; every crash point recovers to canonical", runE23)
-	run("E25", "Flight recorder: native executions captured and machine-checked for linearizability", runE25)
-	run("E26", "Fast-path reads: lookup-heavy runs linearizable; reads correct against parked marks; twin dumps identical under readers", runE26)
-
-	return !failed
+	if len(failed) > 0 {
+		return fmt.Errorf("failed: %s", strings.Join(failed, ", "))
+	}
+	return nil
 }
 
 func depth(short, deep int) int {
@@ -495,10 +514,10 @@ func runE23() error {
 	pairs := depth(1000, 4000)
 	for trial := 0; trial < pairs; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		target := e23Target(rng, bDomain, bDomain)
+		target := faultinject.RandomSet(rng, bDomain, bDomain)
 		a, b := hihash.NewSet(bDomain, bGroups), hihash.NewSet(bDomain, bGroups)
-		e23Build(a, bDomain, target, int64(1000+trial))
-		e23Build(b, bDomain, target, int64(2000+trial))
+		faultinject.BuildHistory(a, target, int64(1000+trial))
+		faultinject.BuildHistory(b, target, int64(2000+trial))
 		if !bytes.Equal(a.RawDump(), b.RawDump()) {
 			return fmt.Errorf("bounded twins: trial %d: same state %v, different raw dumps", trial, target)
 		}
@@ -508,19 +527,19 @@ func runE23() error {
 	}
 	fmt.Printf("    bounded twins:    %4d history pairs, raw dumps byte-identical and canonical\n", pairs)
 
-	heavy := e23Heavy(dDomain, dGroups)
+	overload := faultinject.OverloadScript(dDomain, dGroups)
 	dPairs := depth(600, 2400)
 	for trial := 0; trial < dPairs; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		target := e23Target(rng, dDomain, 6)
+		target := faultinject.RandomSet(rng, dDomain, 6)
 		if trial%3 == 0 {
 			// Force the overloaded set whose home group overflows, so a
 			// third of the pairs exercise real cross-group displacement.
-			target = append([]int(nil), heavy...)
+			target = overload.Final
 		}
 		a, b := hihash.NewDisplaceSet(dDomain, dGroups), hihash.NewDisplaceSet(dDomain, dGroups)
-		e23Build(a, dDomain, target, int64(1000+trial))
-		e23Build(b, dDomain, target, int64(2000+trial))
+		faultinject.BuildHistory(a, target, int64(1000+trial))
+		faultinject.BuildHistory(b, target, int64(2000+trial))
 		if !bytes.Equal(a.RawDump(), b.RawDump()) {
 			return fmt.Errorf("displacing twins: trial %d: same state %v, different raw dumps", trial, target)
 		}
@@ -562,138 +581,28 @@ func runE23() error {
 	}
 	fmt.Printf("    sim crash schedules: %d bounded + %d displacing, every recovery canonical and linearizable\n", nb, nd)
 
-	cells, mid, maxDist, err := e23Matrix(dDomain, dGroups, heavy)
-	if err != nil {
-		return err
+	newSet := func() *hihash.Set { return hihash.NewDisplaceSet(dDomain, dGroups) }
+	cells := faultinject.KillMatrix(newSet, overload)
+	mid, maxDist := 0, 0
+	for _, c := range cells {
+		if c.Err != nil {
+			return c.Err
+		}
+		switch {
+		case c.Distance < 0:
+			mid++
+		case c.Distance > faultinject.MaxCrashDistance:
+			return fmt.Errorf("crash at %s: image at distance %d > %d from every reachable canonical layout", c.Plan, c.Distance, faultinject.MaxCrashDistance)
+		case c.Distance > maxDist:
+			maxDist = c.Distance
+		}
 	}
-	fmt.Printf("    native Kill matrix: %d cells (%d mid-drain), max stable-geometry distance %d <= 5\n", cells, mid, maxDist)
+	if len(cells) < int(hihash.NumSteppoints) {
+		return fmt.Errorf("only %d crash cells reached; the workload misses whole steppoints", len(cells))
+	}
+	fmt.Printf("    native Kill matrix: %d cells (%d mid-drain), max stable-geometry distance %d <= %d\n",
+		len(cells), mid, maxDist, faultinject.MaxCrashDistance)
 	return nil
-}
-
-// e23Target draws a random subset of {1..domain}, capped at maxLen keys.
-func e23Target(rng *rand.Rand, domain, maxLen int) []int {
-	var out []int
-	for k := 1; k <= domain; k++ {
-		if rng.Intn(3) == 0 {
-			out = append(out, k)
-		}
-	}
-	for len(out) > maxLen {
-		out = append(out[:rng.Intn(len(out))], out[rng.Intn(len(out))+1:]...)
-	}
-	return out
-}
-
-// e23Build drives a fresh table to exactly target through a
-// seed-dependent history: random insertion order, decoy churn around
-// every insert, and remove/re-insert churn of target keys.
-func e23Build(s *hihash.Set, domain int, target []int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	in := func(keys []int, k int) bool {
-		for _, x := range keys {
-			if x == k {
-				return true
-			}
-		}
-		return false
-	}
-	order := append([]int(nil), target...)
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	for _, k := range order {
-		if len(target) < domain {
-			decoy := rng.Intn(domain) + 1
-			for in(target, decoy) {
-				decoy = decoy%domain + 1
-			}
-			s.Insert(decoy)
-			s.Insert(k)
-			s.Remove(decoy)
-		} else {
-			s.Insert(k)
-		}
-		if rng.Intn(2) == 0 {
-			s.Remove(k)
-			s.Insert(k)
-		}
-	}
-}
-
-// e23Heavy returns SlotsPerGroup+1 keys homing at group 0 — one more
-// than a group holds, so inserting them all forces displacement.
-func e23Heavy(domain, nGroups int) []int {
-	var heavy []int
-	for k := 1; k <= domain; k++ {
-		if hihash.GroupOf(k, nGroups) == 0 {
-			heavy = append(heavy, k)
-		}
-	}
-	return heavy[:hihash.SlotsPerGroup+1]
-}
-
-// e23Matrix runs the native Kill matrix: for every steppoint and every
-// occurrence the workload reaches, a victim goroutine runs the script
-// and dies at that protocol CAS; the crash image is measured against
-// every reachable canonical layout, and recovery (re-settle membership,
-// then grow) must restore canonical memory exactly.
-func e23Matrix(domain, nGroups int, heavy []int) (cells, mid, maxDist int, err error) {
-	churn := heavy[2]
-	script := func(s *hihash.Set) {
-		for _, k := range heavy {
-			s.Insert(k)
-		}
-		s.Remove(churn)
-		s.Insert(churn)
-		s.Grow()
-	}
-	// Reachable abstract states: the cumulative prefixes of the script.
-	var candidates [][]int
-	candidates = append(candidates, nil)
-	for i := range heavy {
-		candidates = append(candidates, heavy[:i+1])
-	}
-	var without []int
-	for _, k := range heavy {
-		if k != churn {
-			without = append(without, k)
-		}
-	}
-	candidates = append(candidates, without)
-	for sp := hihash.Steppoint(0); sp < hihash.NumSteppoints; sp++ {
-		for occ := 1; occ <= 128; occ++ {
-			s := hihash.NewDisplaceSet(domain, nGroups)
-			in := faultinject.Install(faultinject.Plan{Point: sp, Occurrence: occ, Action: faultinject.Kill})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				script(s)
-			}()
-			wg.Wait()
-			in.Uninstall()
-			if !in.DidFire() {
-				break
-			}
-			cells++
-			if d := faultinject.MinCanonicalDistance(s, candidates); d < 0 {
-				mid++
-			} else if d > 5 {
-				return cells, mid, d, fmt.Errorf("crash at %s#%d: image at distance %d > 5 from every reachable canonical layout", sp, occ, d)
-			} else if d > maxDist {
-				maxDist = d
-			}
-			for _, k := range heavy {
-				s.Insert(k)
-			}
-			s.Grow()
-			if got, want := s.Snapshot(), hihash.CanonicalSetSnapshot(domain, s.NumGroups(), heavy); got != want {
-				return cells, mid, maxDist, fmt.Errorf("crash at %s#%d: recovery left non-canonical memory\n got:  %s\nwant: %s", sp, occ, got, want)
-			}
-		}
-	}
-	if cells < int(hihash.NumSteppoints) {
-		return cells, mid, maxDist, fmt.Errorf("only %d crash cells reached; the workload misses whole steppoints", cells)
-	}
-	return cells, mid, maxDist, nil
 }
 
 // runE25 closes the loop between the native stack and the checker: the
@@ -758,24 +667,15 @@ func runE25() error {
 	// CAS. The victim dies between invocation and response, so extraction
 	// must yield exactly one pending operation — which the checker may
 	// linearize or drop — and the verdict must still hold.
-	heavy := e23Heavy(domain, 2)
+	heavy := hihash.KeysHomingAt(domain, 2, 0, hihash.SlotsPerGroup+1)
 	cs := obj.NewHashSetWithGroups(domain, 2)
 	flight = hirec.Enable(1 << 12)
 	for _, k := range heavy[1:] {
 		cs.Insert(k)
 	}
-	in := faultinject.Install(faultinject.Plan{
-		Point: hihash.SpMarkSet, Occurrence: 1, Action: faultinject.Kill,
-	})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cs.Insert(heavy[0])
-	}()
-	wg.Wait()
-	in.Uninstall()
+	fired := faultinject.RunKilled(faultinject.Plan{Point: hihash.SpMarkSet, Occurrence: 1}, func() { cs.Insert(heavy[0]) })
 	hirec.Disable()
-	if !in.DidFire() {
+	if !fired {
 		return errors.New("crash schedule: the displacing insert never reached mark-set")
 	}
 	crashRec := flight.Snapshot()
@@ -882,26 +782,18 @@ func runE26() error {
 	// so validation succeeds) and answer correctly for every key: the
 	// marked resident is logically present, the dead insert's key was
 	// never placed.
-	heavy := e23Heavy(domain, 2)
-	ps := hihash.NewDisplaceSet(domain, 2)
+	heavy := hihash.KeysHomingAt(domain, 2, 0, hihash.SlotsPerGroup+1)
+	var ops []faultinject.Op
 	for _, k := range heavy[1:] {
-		ps.Insert(k)
+		ops = append(ops, faultinject.Op{Verb: faultinject.Insert, Key: k})
 	}
-	in := faultinject.Install(faultinject.Plan{
-		Point: hihash.SpMarkSet, Occurrence: 1, Action: faultinject.Kill,
-	})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ps.Insert(heavy[0])
-	}()
-	wg.Wait()
-	in.Uninstall()
-	if !in.DidFire() {
+	parked := faultinject.NewScript(append(ops, faultinject.Op{Verb: faultinject.Insert, Key: heavy[0]})...)
+	ps := hihash.NewDisplaceSet(domain, 2)
+	if !faultinject.RunKilled(faultinject.Plan{Point: hihash.SpMarkSet, Occurrence: 1}, func() { parked.Run(ps) }) {
 		return errors.New("park-at-mark: the displacing insert never reached mark-set")
 	}
 	expected := map[int]bool{}
-	for _, k := range heavy[1:] {
+	for _, k := range parked.Reachable[len(ops)] {
 		expected[k] = true
 	}
 	const parkReaders, parkSweeps = 4, 50
@@ -930,13 +822,9 @@ func runE26() error {
 	default:
 	}
 	// Recovery: re-settling the membership resolves the parked mark and
-	// must restore canonical memory exactly (the e23Matrix recipe).
-	for _, k := range heavy[1:] {
-		ps.Insert(k)
-	}
-	ps.Grow()
-	if got, want := ps.Snapshot(), hihash.CanonicalSetSnapshot(domain, ps.NumGroups(), heavy[1:]); got != want {
-		return fmt.Errorf("park-at-mark: recovery left non-canonical memory\n got:  %s\nwant: %s", got, want)
+	// must restore canonical memory exactly (the Kill matrix's rule).
+	if _, err := parked.Recover(ps); err != nil {
+		return fmt.Errorf("park-at-mark: %w", err)
 	}
 	fmt.Printf("    park-at-mark: %d readers x %d sweeps all correct against a parked mark, recovery canonical  PASS\n",
 		parkReaders, parkSweeps)
@@ -946,17 +834,17 @@ func runE26() error {
 	// Reads — including any slow-path helping they perform — must leave
 	// the final raw dumps byte-identical and canonical.
 	const dDomain, dGroups = 8, 2
-	dheavy := e23Heavy(dDomain, dGroups)
+	dheavy := hihash.KeysHomingAt(dDomain, dGroups, 0, hihash.SlotsPerGroup+1)
 	trials := depth(200, 800)
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		target := e23Target(rng, dDomain, 6)
+		target := faultinject.RandomSet(rng, dDomain, 6)
 		if trial%3 == 0 {
-			target = append([]int(nil), dheavy...)
+			target = dheavy
 		}
 		a, b := hihash.NewDisplaceSet(dDomain, dGroups), hihash.NewDisplaceSet(dDomain, dGroups)
-		e26BuildWithReaders(a, dDomain, target, int64(1000+trial))
-		e26BuildWithReaders(b, dDomain, target, int64(2000+trial))
+		buildWithReaders(a, target, int64(1000+trial))
+		buildWithReaders(b, target, int64(2000+trial))
 		if !bytes.Equal(a.RawDump(), b.RawDump()) {
 			return fmt.Errorf("twins under readers: trial %d: same state %v, different raw dumps", trial, target)
 		}
@@ -969,9 +857,11 @@ func runE26() error {
 	return nil
 }
 
-// e26BuildWithReaders is e23Build with reader goroutines hammering
-// Contains over the whole domain for the duration of the build.
-func e26BuildWithReaders(s *hihash.Set, domain int, target []int, seed int64) {
+// buildWithReaders is faultinject.BuildHistory with reader goroutines
+// hammering Contains over the whole domain for the duration of the
+// build.
+func buildWithReaders(s *hihash.Set, target []int, seed int64) {
+	domain := s.Domain()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -989,7 +879,7 @@ func e26BuildWithReaders(s *hihash.Set, domain int, target []int, seed int64) {
 			}
 		}(seed*10 + int64(g))
 	}
-	e23Build(s, domain, target, seed)
+	faultinject.BuildHistory(s, target, seed)
 	close(stop)
 	wg.Wait()
 }

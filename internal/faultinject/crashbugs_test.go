@@ -1,8 +1,7 @@
 package faultinject_test
 
 import (
-	"sort"
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,44 +9,18 @@ import (
 	"hiconc/internal/hihash"
 )
 
-// The four protocol bugs the checkers caught in PR 4, replayed as crash
-// schedules: each test reaches the adversarial window through real
-// operations and an injected Kill/Park at a labeled steppoint, instead
-// of crafting group words directly (whitebox_test.go still pins the raw
-// states; these pin the executions that produce them).
+// Protocol bugs the checkers caught, replayed as crash schedules: each
+// test reaches the adversarial window through real operations and an
+// injected Kill/Park at a labeled steppoint, instead of crafting group
+// words directly (whitebox_test.go still pins the raw states; these pin
+// the executions that produce them).
 
-// groupKeys returns the n smallest keys of {1..domain} homing at group g
-// under the shared mixer, in ascending order.
-func groupKeys(t *testing.T, domain, G, g, n int) []int {
-	t.Helper()
-	var ks []int
-	for k := 1; k <= domain && len(ks) < n; k++ {
-		if hihash.GroupOf(k, G) == g {
-			ks = append(ks, k)
-		}
-	}
-	if len(ks) < n {
-		t.Fatalf("only %d keys home at group %d of %d (need %d)", len(ks), g, G, n)
-	}
-	sort.Ints(ks)
-	return ks
-}
-
-// kill runs fn on its own goroutine under a Kill plan and waits for it
-// to finish or die, failing the test if the plan never fired.
+// kill runs fn on a victim killed at point's occurrence-th firing,
+// failing the test if the plan never fired.
 func kill(t *testing.T, point hihash.Steppoint, occurrence int, fn func()) {
 	t.Helper()
-	in := faultinject.Install(faultinject.Plan{Point: point, Occurrence: occurrence, Action: faultinject.Kill})
-	defer in.Uninstall()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		fn()
-	}()
-	wg.Wait()
-	if !in.DidFire() {
-		t.Fatalf("%s#%d never fired (%d hits); the script does not reach the window", point, occurrence, in.Hits())
+	if plan := (faultinject.Plan{Point: point, Occurrence: occurrence}); !faultinject.RunKilled(plan, fn) {
+		t.Fatalf("%s never fired; the script does not reach the window", plan)
 	}
 }
 
@@ -61,6 +34,7 @@ func TestCrashBugReplays(t *testing.T) {
 		{"drain-resurrection", replayDrainResurrection},
 		{"runaway-growth", replayRunawayGrowth},
 		{"parked-mark-self-help", replayParkedMarkSelfHelp},
+		{"drain-misread", replayDrainMisread},
 	} {
 		t.Run(tc.name, tc.run)
 	}
@@ -72,7 +46,7 @@ func TestCrashBugReplays(t *testing.T) {
 // without the backward shift the key would sit stranded beyond a hole
 // where scans stop — PR 4's first checker catch.
 func replayStrandedDisplacement(t *testing.T) {
-	ks := groupKeys(t, displaceDomain, displaceGroups, 0, hihash.SlotsPerGroup+1)
+	ks := hihash.KeysHomingAt(displaceDomain, displaceGroups, 0, hihash.SlotsPerGroup+1)
 	s := hihash.NewDisplaceSet(displaceDomain, displaceGroups)
 	// The first four inserts each claim an empty slot (one SpDestWritten
 	// apiece); the fifth overflows the home group and lands displaced —
@@ -103,7 +77,7 @@ func replayStrandedDisplacement(t *testing.T) {
 // key is physically resident twice. A remove must chase both copies —
 // deleting just one resurrects the key, PR 4's drain bug.
 func replayDrainResurrection(t *testing.T) {
-	ks := groupKeys(t, displaceDomain, displaceGroups, 0, 3)
+	ks := hihash.KeysHomingAt(displaceDomain, displaceGroups, 0, 3)
 	s := hihash.NewDisplaceSet(displaceDomain, displaceGroups)
 	for _, k := range ks {
 		s.Insert(k)
@@ -143,7 +117,7 @@ func replayDrainResurrection(t *testing.T) {
 // survivors; an insert storm with repeated grows must still respect the
 // capacity ceiling — PR 4's unbounded doubling bug.
 func replayRunawayGrowth(t *testing.T) {
-	ks := groupKeys(t, displaceDomain, displaceGroups, 0, hihash.SlotsPerGroup+1)
+	ks := hihash.KeysHomingAt(displaceDomain, displaceGroups, 0, hihash.SlotsPerGroup+1)
 	s := hihash.NewDisplaceSet(displaceDomain, displaceGroups)
 	kill(t, hihash.SpGrowPublished, 1, func() {
 		for _, k := range ks {
@@ -185,7 +159,7 @@ const maxGroupsFactor = 4
 // bug. The parked eviction then resumes and must finish cleanly.
 func replayParkedMarkSelfHelp(t *testing.T) {
 	const domain, G = 2000, 4
-	ks := groupKeys(t, domain, G, 0, 6)
+	ks := hihash.KeysHomingAt(domain, G, 0, 6)
 	k0, k1, k2, k3, k4, k5 := ks[0], ks[1], ks[2], ks[3], ks[4], ks[5]
 	s := hihash.NewDisplaceSet(domain, G)
 	for _, k := range []int{k1, k2, k3, k4} {
@@ -235,6 +209,46 @@ func replayParkedMarkSelfHelp(t *testing.T) {
 	}
 	s.Grow()
 	if got, canon := s.Snapshot(), hihash.CanonicalSetSnapshot(domain, s.NumGroups(), want); got != canon {
+		t.Fatalf("memory not canonical after recovery:\n got:  %s\n want: %s", got, canon)
+	}
+}
+
+// replayDrainMisread: a grow dies right after dropping the first key it
+// copied out of old group 0 (SpDrainDropped), so that group now has a
+// free slot and reads clean while a key displaced past it still waits
+// in old group 1, not yet copied. A lookup's old-array scan stops at the
+// clean group and its new-array scan cannot see the key either; the
+// double collect then certified "absent" for a member — the stable-key
+// misreads of the read-path churn test.
+func replayDrainMisread(t *testing.T) {
+	const domain, G = 2000, 4
+	residents := append(hihash.KeysHomingAt(domain, G, 3, 4), hihash.KeysHomingAt(domain, G, 0, 4)...)
+	// c homes at group 3 and outranks none of the residents, so groups
+	// 3 and 0 are full before it and it lands in group 1.
+	c := 0
+	for _, k := range hihash.KeysHomingAt(domain, G, 3, 40) {
+		if k > slices.Max(residents) {
+			c = k
+			break
+		}
+	}
+	keys := append(residents, c)
+	layout := hihash.DisplacedGroups(hihash.Params{T: domain, G: G, B: hihash.SlotsPerGroup}, keys)
+	if !slices.Contains(layout[1], c) {
+		t.Fatalf("key %d not displaced into group 1: layout %v", c, layout)
+	}
+	s := hihash.NewDisplaceSet(domain, G)
+	for _, k := range keys {
+		s.Insert(k)
+	}
+	kill(t, hihash.SpDrainDropped, 1, func() { s.Grow() })
+	for _, k := range keys {
+		if !s.Contains(k) {
+			t.Fatalf("Contains(%d) = false mid-drain, past a partly drained group", k)
+		}
+	}
+	s.Grow()
+	if got, canon := s.Snapshot(), hihash.CanonicalSetSnapshot(domain, s.NumGroups(), keys); got != canon {
 		t.Fatalf("memory not canonical after recovery:\n got:  %s\n want: %s", got, canon)
 	}
 }

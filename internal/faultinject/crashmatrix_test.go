@@ -1,8 +1,6 @@
 package faultinject_test
 
 import (
-	"strconv"
-	"sync"
 	"testing"
 
 	"hiconc/internal/faultinject"
@@ -15,132 +13,37 @@ import (
 // operations recover. Two properties are checked at every cell:
 //
 //  1. Exposure: at crash points where the geometry is stable (not
-//     mid-drain), the raw image is within 5 words of the canonical
-//     layout of SOME abstract state the workload could have been in —
-//     the observed counterpart of the distance bound measured in E21.
+//     mid-drain), the raw image is within MaxCrashDistance words of the
+//     canonical layout of SOME abstract state the workload could have
+//     been in — the observed counterpart of the distance bound measured
+//     in E21.
 //  2. Recovery: after the survivors re-settle membership and force a
 //     grow (whose drain supersedes parked marks and drops stale
 //     flags), memory must be exactly the canonical layout again.
-//
-// The distance ceiling asserted here feeds the E23 report in hiverify.
-const maxCrashDistance = 5
 
-// crashOp is one step of the victim's script together with the abstract
-// set it leaves behind.
-type crashOp struct {
-	do    func(s *hihash.Set)
-	after []int
-}
-
-// displaceCrashScript builds the victim workload: fill group 0 past its
-// slot budget (forcing eviction into group 1), churn one key (forcing a
-// flagged remove and a backward-shift pull), then grow (forcing a
-// drain). heavy is the overloaded key set the script converges to.
-func displaceCrashScript(t *testing.T) (ops []crashOp, heavy []int) {
-	t.Helper()
-	for k := 1; k <= displaceDomain; k++ {
-		if hihash.GroupOf(k, displaceGroups) == 0 {
-			heavy = append(heavy, k)
-		}
-	}
-	if len(heavy) <= hihash.SlotsPerGroup {
-		t.Fatalf("group 0 homes only %d keys; need > %d to force displacement", len(heavy), hihash.SlotsPerGroup)
-	}
-	heavy = heavy[:hihash.SlotsPerGroup+1]
-	cum := func(n int) []int { return append([]int(nil), heavy[:n]...) }
-	for i := range heavy {
-		k := heavy[i]
-		ops = append(ops, crashOp{func(s *hihash.Set) { s.Insert(k) }, cum(i + 1)})
-	}
-	churn := heavy[2]
-	without := make([]int, 0, len(heavy)-1)
-	for _, k := range heavy {
-		if k != churn {
-			without = append(without, k)
-		}
-	}
-	ops = append(ops,
-		crashOp{func(s *hihash.Set) { s.Remove(churn) }, without},
-		crashOp{func(s *hihash.Set) { s.Insert(churn) }, cum(len(heavy))},
-		crashOp{func(s *hihash.Set) { s.Grow() }, cum(len(heavy))},
-	)
-	return ops, heavy
-}
-
-// runVictim executes the script on its own goroutine so a Kill plan can
-// terminate it mid-script, and waits for it to finish or die.
-func runVictim(s *hihash.Set, ops []crashOp) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, op := range ops {
-			op.do(s)
-		}
-	}()
-	wg.Wait()
-}
-
-// recoverAndCheck re-settles the target membership, forces a grow — the
-// recovery operation whose drain certainly rebuilds every group — and
-// requires the result to be byte-for-byte canonical.
-func recoverAndCheck(t *testing.T, s *hihash.Set, target []int, cell string) {
-	t.Helper()
-	for _, k := range target {
-		s.Insert(k)
-	}
-	s.Grow()
-	want := hihash.CanonicalSetSnapshot(displaceDomain, s.NumGroups(), target)
-	if got := s.Snapshot(); got != want {
-		t.Fatalf("%s: recovery left non-canonical memory\n got: %s\nwant: %s", cell, got, want)
-	}
-	for k := 1; k <= displaceDomain; k++ {
-		if s.Contains(k) != inSet(target, k) {
-			t.Fatalf("%s: recovery broke membership of key %d", cell, k)
-		}
-	}
-	if d := faultinject.CanonicalDistance(s, target); d != 0 {
-		t.Fatalf("%s: recovered image at distance %d from canonical", cell, d)
-	}
-}
+func newDisplaceSet() *hihash.Set { return hihash.NewDisplaceSet(displaceDomain, displaceGroups) }
 
 // TestCrashMatrixDisplace sweeps Kill plans over every (steppoint,
 // occurrence) cell the displacing workload reaches.
 func TestCrashMatrixDisplace(t *testing.T) {
-	ops, heavy := displaceCrashScript(t)
-	candidates := make([][]int, 0, len(ops)+1)
-	candidates = append(candidates, nil)
-	for _, op := range ops {
-		candidates = append(candidates, op.after)
-	}
-	const maxOccurrences = 128
-	maxDist, cells, incomparable := 0, 0, 0
-	for sp := hihash.Steppoint(0); sp < hihash.NumSteppoints; sp++ {
-		for occ := 1; occ <= maxOccurrences; occ++ {
-			s := hihash.NewDisplaceSet(displaceDomain, displaceGroups)
-			in := faultinject.Install(faultinject.Plan{Point: sp, Occurrence: occ, Action: faultinject.Kill})
-			runVictim(s, ops)
-			in.Uninstall()
-			if !in.DidFire() {
-				// The workload fires sp fewer than occ times; the matrix
-				// row is exhausted.
-				break
-			}
-			cells++
-			cell := sp.String() + "#" + strconv.Itoa(occ)
-			if d := faultinject.MinCanonicalDistance(s, candidates); d < 0 {
-				incomparable++ // mid-drain image spans two arrays
-			} else if d > maxCrashDistance {
-				t.Errorf("%s: crash image at distance %d > %d from every reachable canonical layout", cell, d, maxCrashDistance)
-			} else if d > maxDist {
-				maxDist = d
-			}
-			recoverAndCheck(t, s, heavy, cell)
+	cells := faultinject.KillMatrix(newDisplaceSet, faultinject.OverloadScript(displaceDomain, displaceGroups))
+	maxDist, incomparable := 0, 0
+	for _, c := range cells {
+		if c.Err != nil {
+			t.Fatal(c.Err)
+		}
+		switch {
+		case c.Distance < 0:
+			incomparable++ // mid-drain image spans two arrays
+		case c.Distance > faultinject.MaxCrashDistance:
+			t.Errorf("%s: crash image at distance %d > %d from every reachable canonical layout", c.Plan, c.Distance, faultinject.MaxCrashDistance)
+		case c.Distance > maxDist:
+			maxDist = c.Distance
 		}
 	}
-	t.Logf("crash matrix: %d cells, %d mid-drain (incomparable), max stable-geometry distance %d", cells, incomparable, maxDist)
-	if cells < int(hihash.NumSteppoints) {
-		t.Fatalf("only %d crash cells reached; the workload misses whole steppoints", cells)
+	t.Logf("crash matrix: %d cells, %d mid-drain (incomparable), max stable-geometry distance %d", len(cells), incomparable, maxDist)
+	if len(cells) < int(hihash.NumSteppoints) {
+		t.Fatalf("only %d crash cells reached; the workload misses whole steppoints", len(cells))
 	}
 }
 
@@ -149,43 +52,50 @@ func TestCrashMatrixDisplace(t *testing.T) {
 // image must be EXACTLY canonical for some prefix state (perfect HI has
 // no window at all — Proposition 6 with distance 0 at the crash point).
 func TestCrashMatrixBounded(t *testing.T) {
-	keys := []int{1, 2, 3, 5, 7, 11, 13}
-	var ops []crashOp
-	var live []int
-	for _, k := range keys {
-		k := k
-		live = append(live, k)
-		ops = append(ops, crashOp{func(s *hihash.Set) { s.Insert(k) }, append([]int(nil), live...)})
+	var ops []faultinject.Op
+	for _, k := range []int{1, 2, 3, 5, 7, 11, 13} {
+		ops = append(ops, faultinject.Op{Verb: faultinject.Insert, Key: k})
 	}
 	for _, k := range []int{2, 7} {
-		k := k
-		next := make([]int, 0, len(live))
-		for _, x := range live {
-			if x != k {
-				next = append(next, x)
-			}
-		}
-		live = next
-		ops = append(ops, crashOp{func(s *hihash.Set) { s.Remove(k) }, append([]int(nil), live...)})
+		ops = append(ops, faultinject.Op{Verb: faultinject.Remove, Key: k})
 	}
-	candidates := make([][]int, 0, len(ops)+1)
-	candidates = append(candidates, nil)
-	for _, op := range ops {
-		candidates = append(candidates, op.after)
+	newSet := func() *hihash.Set { return hihash.NewSet(boundedDomain, boundedGroups) }
+	cells := faultinject.KillMatrix(newSet, faultinject.NewScript(ops...))
+	updates := 0
+	for _, c := range cells {
+		if c.Err != nil {
+			t.Fatal(c.Err)
+		}
+		if c.Plan.Point == hihash.SpBoundedUpdate {
+			updates++
+		}
+		if c.Distance != 0 {
+			t.Fatalf("bounded crash at %s: distance %d, want 0 (perfect HI leaves no window)", c.Plan, c.Distance)
+		}
 	}
-	for occ := 1; ; occ++ {
-		s := hihash.NewSet(boundedDomain, boundedGroups)
-		in := faultinject.Install(faultinject.Plan{Point: hihash.SpBoundedUpdate, Occurrence: occ, Action: faultinject.Kill})
-		runVictim(s, ops)
-		in.Uninstall()
-		if !in.DidFire() {
-			if occ <= len(ops) {
-				t.Fatalf("bounded update #%d never fired; expected one per update", occ)
-			}
-			break
+	if updates < len(ops) {
+		t.Fatalf("only %d bounded-update cells for %d updates; expected one per update", updates, len(ops))
+	}
+}
+
+// TestCrashCellCanFail proves the driver's verdicts are not vacuous: a
+// script that claims a final set omitting a key it inserts must fail
+// recovery at every cell, and a plan past the last occurrence the
+// script reaches must report that it never fired.
+func TestCrashCellCanFail(t *testing.T) {
+	sc := faultinject.OverloadScript(displaceDomain, displaceGroups)
+	sc.Final = sc.Final[1:]
+	cells := faultinject.KillMatrix(newDisplaceSet, sc)
+	if len(cells) == 0 {
+		t.Fatal("the overload script reached no crash cell")
+	}
+	for _, c := range cells {
+		if c.Err == nil {
+			t.Errorf("%s: recovery passed against a final set missing a key", c.Plan)
 		}
-		if d := faultinject.MinCanonicalDistance(s, candidates); d != 0 {
-			t.Fatalf("bounded crash after update #%d: distance %d, want 0 (perfect HI leaves no window)", occ, d)
-		}
+	}
+	unreached := faultinject.Plan{Point: hihash.SpGrowPublished, Occurrence: 100}
+	if c := faultinject.CrashCell(newDisplaceSet, faultinject.OverloadScript(displaceDomain, displaceGroups), unreached); c.Fired {
+		t.Fatalf("%s fired, but the script grows only once", unreached)
 	}
 }

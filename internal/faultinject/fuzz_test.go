@@ -1,7 +1,6 @@
 package faultinject_test
 
 import (
-	"sync"
 	"testing"
 
 	"hiconc/internal/faultinject"
@@ -11,12 +10,12 @@ import (
 // FuzzCrashSchedule fuzzes the crash matrix itself: an arbitrary
 // operation script (one byte per op), an arbitrary steppoint and an
 // arbitrary occurrence of it define a crash schedule. The victim runs
-// the script and is killed at the planned protocol step; the recovery
-// then settles every key to the script's final abstract state and forces
-// a grow. Whatever the crash exposed, the settled table must agree with
-// the pure model on membership and be byte-for-byte canonical — any
-// wedge, stack overflow, resurrection or non-canonical residue is a
-// finding.
+// the script and is killed at the planned protocol step; the driver's
+// recovery rule then settles every key to the script's final abstract
+// state and forces a grow. Whatever the crash exposed, the settled table
+// must agree with the script on membership and be byte-for-byte
+// canonical — any wedge, stack overflow, resurrection or non-canonical
+// residue is a finding.
 func FuzzCrashSchedule(f *testing.F) {
 	// Seeds: a displacing overflow, a remove-heavy churn, a grow mid
 	// script, and a schedule deep enough to crash inside the drain.
@@ -28,64 +27,18 @@ func FuzzCrashSchedule(f *testing.F) {
 		if len(script) > 64 {
 			script = script[:64]
 		}
-		sp := hihash.Steppoint(spByte) % hihash.NumSteppoints
-		occ := int(occByte%16) + 1
+		plan := faultinject.Plan{
+			Point:      hihash.Steppoint(spByte) % hihash.NumSteppoints,
+			Occurrence: int(occByte%16) + 1,
+		}
 		// Decode: low nibble picks the key, high nibble the verb
 		// (0 insert, 1 remove, 2 grow).
-		model := map[int]bool{}
-		type op struct {
-			verb int
-			key  int
+		ops := make([]faultinject.Op, len(script))
+		for i, b := range script {
+			ops[i] = faultinject.Op{Verb: faultinject.Verb(int(b>>4) % 3), Key: int(b&0x0F)%displaceDomain + 1}
 		}
-		var ops []op
-		for _, b := range script {
-			o := op{verb: int(b>>4) % 3, key: int(b&0x0F)%displaceDomain + 1}
-			ops = append(ops, o)
-			switch o.verb {
-			case 0:
-				model[o.key] = true
-			case 1:
-				delete(model, o.key)
-			}
-		}
-		s := hihash.NewDisplaceSet(displaceDomain, displaceGroups)
-		in := faultinject.Install(faultinject.Plan{Point: sp, Occurrence: occ, Action: faultinject.Kill})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, o := range ops {
-				switch o.verb {
-				case 0:
-					s.Insert(o.key)
-				case 1:
-					s.Remove(o.key)
-				case 2:
-					s.Grow()
-				}
-			}
-		}()
-		wg.Wait()
-		in.Uninstall()
-		// Recovery: settle every key to the script's final state, then
-		// rebuild through a grow so no group escapes repair.
-		var want []int
-		for k := 1; k <= displaceDomain; k++ {
-			if model[k] {
-				want = append(want, k)
-				s.Insert(k)
-			} else {
-				s.Remove(k)
-			}
-		}
-		s.Grow()
-		for k := 1; k <= displaceDomain; k++ {
-			if s.Contains(k) != model[k] {
-				t.Fatalf("crash %s#%d, script %x: key %d membership disagrees with model", sp, occ, script, k)
-			}
-		}
-		if got, canon := s.Snapshot(), hihash.CanonicalSetSnapshot(displaceDomain, s.NumGroups(), want); got != canon {
-			t.Fatalf("crash %s#%d, script %x: memory not canonical after recovery:\n got:  %s\n want: %s", sp, occ, script, got, canon)
+		if c := faultinject.CrashCell(newDisplaceSet, faultinject.NewScript(ops...), plan); c.Err != nil {
+			t.Fatalf("script %x: %v", script, c.Err)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hiconc/internal/faultinject"
 	"hiconc/internal/hihash"
 	"hiconc/internal/hirec"
 	"hiconc/internal/histats"
@@ -39,18 +40,17 @@ func TestInstrumentedDumpsIdentical(t *testing.T) {
 	}
 	defer instrument(false)
 
-	mk := func() *hihash.Set { return hihash.NewDisplaceSet(displaceDomain, displaceGroups) }
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		target := targetSet(rng, displaceDomain, 6)
+		target := faultinject.RandomSet(rng, displaceDomain, 6)
 
 		// Same history, instrumented vs bare: bit-identical words.
 		instrument(true)
-		a := mk()
-		buildSet(t, a, displaceDomain, target, int64(5000+trial))
+		a := newDisplaceSet()
+		faultinject.BuildHistory(a, target, int64(5000+trial))
 		instrument(false)
-		bare := mk()
-		buildSet(t, bare, displaceDomain, target, int64(5000+trial))
+		bare := newDisplaceSet()
+		faultinject.BuildHistory(bare, target, int64(5000+trial))
 		wa, wb := a.RawWords(), bare.RawWords()
 		if len(wa) != len(wb) {
 			t.Fatalf("trial %d: instrumented table has %d words, bare %d", trial, len(wa), len(wb))
@@ -65,8 +65,8 @@ func TestInstrumentedDumpsIdentical(t *testing.T) {
 		// Different histories, both instrumented: the usual twin check
 		// still holds with the observers running.
 		instrument(true)
-		c := mk()
-		buildSet(t, c, displaceDomain, target, int64(6000+trial))
+		c := newDisplaceSet()
+		faultinject.BuildHistory(c, target, int64(6000+trial))
 		instrument(false)
 		if da, dc := a.RawDump(), c.RawDump(); !bytes.Equal(da, dc) {
 			t.Fatalf("trial %d: same state %v, different instrumented dumps:\n a: %x\n c: %x", trial, target, da, dc)

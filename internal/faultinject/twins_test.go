@@ -29,72 +29,6 @@ const (
 	mapKeys, mapBuckets            = 24, 6
 )
 
-// targetSet draws a random subset of {1..domain}, capped at maxLen keys.
-func targetSet(rng *rand.Rand, domain, maxLen int) []int {
-	var out []int
-	for k := 1; k <= domain; k++ {
-		if rng.Intn(3) == 0 {
-			out = append(out, k)
-		}
-	}
-	for len(out) > maxLen {
-		out = append(out[:rng.Intn(len(out))], out[rng.Intn(len(out))+1:]...)
-	}
-	return out
-}
-
-func shuffled(rng *rand.Rand, keys []int) []int {
-	out := append([]int(nil), keys...)
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
-func inSet(keys []int, k int) bool {
-	for _, x := range keys {
-		if x == k {
-			return true
-		}
-	}
-	return false
-}
-
-// buildSet drives a fresh table to exactly the target key set through a
-// seed-dependent history: random insertion order with non-target decoy
-// churn around every insert, plus remove/re-insert churn of target keys.
-func buildSet(t *testing.T, s *hihash.Set, domain int, target []int, seed int64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	for _, k := range shuffled(rng, target) {
-		if len(target) < domain {
-			decoy := rng.Intn(domain) + 1
-			for inSet(target, decoy) {
-				decoy = decoy%domain + 1
-			}
-			s.Insert(decoy)
-			s.Insert(k)
-			s.Remove(decoy)
-		} else {
-			s.Insert(k)
-		}
-		if rng.Intn(2) == 0 {
-			s.Remove(k)
-			s.Insert(k)
-		}
-	}
-}
-
-// TwinSetDumps builds two tables for the same target set via different
-// histories and returns their raw dumps. Exported to the E23 driver
-// (hiverify) through the test binary would be awkward; the driver has
-// its own copy of this loop — this one is the package's unit evidence.
-func twinSetDumps(t *testing.T, mk func() *hihash.Set, domain int, target []int, seedA, seedB int64) ([]byte, []byte) {
-	t.Helper()
-	a, b := mk(), mk()
-	buildSet(t, a, domain, target, seedA)
-	buildSet(t, b, domain, target, seedB)
-	return a.RawDump(), b.RawDump()
-}
-
 // TestBoundedTwinDumpsIdentical: the perfect-HI bounded table must dump
 // byte-identically for every pair of histories of the same set, and the
 // dump must equal the canonical packed words.
@@ -105,14 +39,17 @@ func TestBoundedTwinDumpsIdentical(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		target := targetSet(rng, boundedDomain, boundedDomain)
+		target := faultinject.RandomSet(rng, boundedDomain, boundedDomain)
 		mk := func() *hihash.Set { return hihash.NewSet(boundedDomain, boundedGroups) }
-		da, db := twinSetDumps(t, mk, boundedDomain, target, int64(1000+trial), int64(2000+trial))
+		a, b := mk(), mk()
+		faultinject.BuildHistory(a, target, int64(1000+trial))
+		faultinject.BuildHistory(b, target, int64(2000+trial))
+		da, db := a.RawDump(), b.RawDump()
 		if !bytes.Equal(da, db) {
 			t.Fatalf("trial %d: same state %v, different raw dumps:\n a: %x\n b: %x", trial, target, da, db)
 		}
 		s := mk()
-		buildSet(t, s, boundedDomain, target, int64(3000+trial))
+		faultinject.BuildHistory(s, target, int64(3000+trial))
 		if d := faultinject.CanonicalDistance(s, target); d != 0 {
 			t.Fatalf("trial %d: state %v: raw words at distance %d from canonical", trial, target, d)
 		}
@@ -130,30 +67,23 @@ func TestDisplaceTwinDumpsIdentical(t *testing.T) {
 	// Keys homed at group 0 under the shared mixer; an overloaded target
 	// containing all of them forces cross-group displacement (5 keys, 4
 	// slots).
-	var heavy []int
-	for k := 1; k <= displaceDomain; k++ {
-		if hihash.GroupOf(k, displaceGroups) == 0 {
-			heavy = append(heavy, k)
-		}
-	}
-	if len(heavy) <= hihash.SlotsPerGroup {
-		t.Fatalf("group 0 homes only %d keys; need > %d to force displacement", len(heavy), hihash.SlotsPerGroup)
-	}
-	heavy = heavy[:hihash.SlotsPerGroup+1]
+	heavy := hihash.KeysHomingAt(displaceDomain, displaceGroups, 0, hihash.SlotsPerGroup+1)
 	displaced := 0
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		target := targetSet(rng, displaceDomain, 6)
+		target := faultinject.RandomSet(rng, displaceDomain, 6)
 		if trial%3 == 0 {
-			target = append([]int(nil), heavy...)
+			target = heavy
 		}
-		mk := func() *hihash.Set { return hihash.NewDisplaceSet(displaceDomain, displaceGroups) }
-		da, db := twinSetDumps(t, mk, displaceDomain, target, int64(1000+trial), int64(2000+trial))
+		a, b := newDisplaceSet(), newDisplaceSet()
+		faultinject.BuildHistory(a, target, int64(1000+trial))
+		faultinject.BuildHistory(b, target, int64(2000+trial))
+		da, db := a.RawDump(), b.RawDump()
 		if !bytes.Equal(da, db) {
 			t.Fatalf("trial %d: same state %v, different raw dumps:\n a: %x\n b: %x", trial, target, da, db)
 		}
-		s := mk()
-		buildSet(t, s, displaceDomain, target, int64(3000+trial))
+		s := newDisplaceSet()
+		faultinject.BuildHistory(s, target, int64(3000+trial))
 		if g := s.NumGroups(); g != displaceGroups {
 			t.Fatalf("trial %d: table grew to %d groups; the workload must not trigger growth", trial, g)
 		}

@@ -39,7 +39,7 @@ func TestLookupAllocs(t *testing.T) {
 		// Overfill one home group so its run displaces across groups:
 		// SlotsPerGroup+2 keys homing at group 0 force cross-group
 		// probe runs on both hits and misses.
-		ks := keysHomingAt(t, domain, G, 0, SlotsPerGroup+3)
+		ks := KeysHomingAt(domain, G, 0, SlotsPerGroup+3)
 		for _, k := range ks[:SlotsPerGroup+2] {
 			s.Insert(k)
 		}

@@ -206,12 +206,48 @@ func wordClean(w uint64) bool {
 // runs.
 const probeLimit = 4
 
+// relocChain is the stack of relocations one goroutine is completing,
+// innermost first: relocateOut and finishEvict push the key they move
+// before walking its placement. Helping is recursive — a walk jammed by
+// a foreign mark completes that relocation first — so without the
+// chain a ring of full groups, each jammed by the mark the previous
+// group's walk is helping, recursed until the stack overflowed. The
+// links live in the callers' frames; nil is the empty chain.
+type relocChain struct {
+	key  int
+	next *relocChain
+}
+
+// holds reports whether k's relocation is on the chain.
+func (ch *relocChain) holds(k int) bool {
+	for ; ch != nil; ch = ch.next {
+		if ch.key == k {
+			return true
+		}
+	}
+	return false
+}
+
+// helpableMark returns the lowest-slot marked key of w that a walk
+// placing c may help — any but c itself and the keys on chain — or 0.
+func helpableMark(w uint64, c int, chain *relocChain) int {
+	for m := swarMarkLanes(w); m != 0; m &= m - 1 {
+		k := int(slotAt(w, bits.TrailingZeros64(m)>>4) & slotKey)
+		if k != c && !chain.holds(k) {
+			return k
+		}
+	}
+	return 0
+}
+
 // placeKey walks key c's probe run in st and ensures c is present,
 // evicting larger residents in ordered Robin Hood priority as needed. A
 // marked copy of c at group exclude (the stale source of a relocation
-// being completed) is treated as invisible and never re-placed there.
-// It returns the walk distance of the decisive group.
-func (s *Set) placeKey(st *tableState, c, exclude int) (wstatus, int) {
+// being completed) is treated as invisible and never re-placed there,
+// and the marks of chain — the relocations this goroutine is already
+// completing — are never helped. It returns the walk distance of the
+// decisive group.
+func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstatus, int) {
 	G := len(st.groups)
 	g := GroupOf(c, G)
 	for dist := 0; dist < G; {
@@ -253,7 +289,7 @@ func (s *Set) placeKey(st *tableState, c, exclude int) (wstatus, int) {
 			// c is itself mid-relocation here: help it land, then
 			// re-examine.
 			histats.Inc(histats.CtrHelpRelocate)
-			if rs := s.relocateOut(st, c, g); rs != wsDone {
+			if rs := s.relocateOut(st, c, g, chain); rs != wsDone {
 				return rs, dist
 			}
 			continue
@@ -261,7 +297,7 @@ func (s *Set) placeKey(st *tableState, c, exclude int) (wstatus, int) {
 		if wordZeros(w) > 0 {
 			if st.groups[g].CompareAndSwap(w, wordAdd(w, uint64(c))) {
 				stepAt(SpDestWritten)
-				return s.placed(st, c, dist), dist
+				return s.placed(st, c, dist, chain), dist
 			}
 			histats.Inc(histats.CtrHashCASFail)
 			continue
@@ -272,7 +308,7 @@ func (s *Set) placeKey(st *tableState, c, exclude int) (wstatus, int) {
 			// gives the hole to c).
 			if st.groups[g].CompareAndSwap(w, wordReplace(w, flagSlot, uint64(c))) {
 				stepAt(SpDestWritten)
-				return s.placed(st, c, dist), dist
+				return s.placed(st, c, dist, chain), dist
 			}
 			histats.Inc(histats.CtrHashCASFail)
 			continue
@@ -299,9 +335,9 @@ func (s *Set) placeKey(st *tableState, c, exclude int) (wstatus, int) {
 				continue
 			}
 			stepAt(SpMarkSet)
-			rs := s.finishEvict(st, c, m, g)
+			rs := s.finishEvict(st, c, m, g, chain)
 			if rs == wsDone {
-				return s.placed(st, c, dist), dist
+				return s.placed(st, c, dist, chain), dist
 			}
 			if rs == wsLost {
 				continue
@@ -312,15 +348,19 @@ func (s *Set) placeKey(st *tableState, c, exclude int) (wstatus, int) {
 			// The group is jammed by an in-flight relocation that c has
 			// priority over: help it resolve before deciding — but
 			// never c's own mark (invisible in view at the excluded
-			// group).
-			if mk := wordAnyMarked(view); mk != 0 && mk != c {
+			// group), nor a mark on chain: that relocation is waiting,
+			// further up this goroutine's stack, for this very walk, so
+			// helping it would recurse round a ring of jammed groups
+			// forever. A group jammed only by chain marks is passed
+			// like a settled full one.
+			if mk := helpableMark(view, c, chain); mk != 0 {
 				histats.Inc(histats.CtrHelpRelocate)
-				if rs := s.relocateOut(st, mk, g); rs != wsDone {
+				if rs := s.relocateOut(st, mk, g, chain); rs != wsDone {
 					return rs, dist
 				}
 				continue
 			}
-			if g != exclude {
+			if g != exclude && wordMarks(view) == 0 {
 				continue
 			}
 		}
@@ -334,8 +374,9 @@ func (s *Set) placeKey(st *tableState, c, exclude int) (wstatus, int) {
 // group g and must land beyond, after which the stale mark is swapped
 // for c in a single CAS. wsLost means a helper released the mark first
 // and c still needs a slot.
-func (s *Set) finishEvict(st *tableState, c, m, g int) wstatus {
-	if rs, _ := s.placeKey(st, m, g); rs != wsDone {
+func (s *Set) finishEvict(st *tableState, c, m, g int, chain *relocChain) wstatus {
+	link := relocChain{m, chain}
+	if rs, _ := s.placeKey(st, m, g, &link); rs != wsDone {
 		if rs == wsFull {
 			// Nowhere for m to land: cancel the eviction so the mark
 			// cannot dangle, then report full.
@@ -371,7 +412,7 @@ func (s *Set) finishEvict(st *tableState, c, m, g int) wstatus {
 // backward shift is deciding concurrently — help it to completion so its
 // candidate scan cannot have missed the fresh placement. The loop ends
 // only on a pass that finds the key with no holes or flags before it.
-func (s *Set) placed(st *tableState, c, dist int) wstatus {
+func (s *Set) placed(st *tableState, c, dist int, chain *relocChain) wstatus {
 	if dist == 0 {
 		// A key in its home group is always reachable.
 		return wsDone
@@ -406,7 +447,7 @@ func (s *Set) placed(st *tableState, c, dist int) wstatus {
 			// A backward shift is pending before c: drive it so it sees
 			// c (or clears), then re-validate.
 			for _, f := range flagged {
-				if rs := s.restore(st, f); rs != wsDone {
+				if rs := s.restore(st, f, chain); rs != wsDone {
 					return rs
 				}
 			}
@@ -430,7 +471,7 @@ func (s *Set) placed(st *tableState, c, dist int) wstatus {
 				continue
 			}
 			stepAt(SpMarkSet)
-			if rs := s.relocateOut(st, c, at); rs != wsDone {
+			if rs := s.relocateOut(st, c, at, chain); rs != wsDone {
 				return rs
 			}
 		}
@@ -478,7 +519,8 @@ func (s *Set) unmark(st *tableState, m, g int) {
 // release the stale slot into a restore flag and run the backward shift
 // it may enable. It is idempotent — whoever's release CAS wins, the
 // others observe the mark gone and stand down.
-func (s *Set) relocateOut(st *tableState, m, j int) wstatus {
+func (s *Set) relocateOut(st *tableState, m, j int, chain *relocChain) wstatus {
+	link := relocChain{m, chain}
 	for {
 		w := st.groups[j].Load()
 		if w == gone {
@@ -488,7 +530,7 @@ func (s *Set) relocateOut(st *tableState, m, j int) wstatus {
 		if i < 0 || slotAt(w, i)&slotMark == 0 {
 			return wsDone
 		}
-		rs, dist := s.placeKey(st, m, j)
+		rs, dist := s.placeKey(st, m, j, &link)
 		if rs != wsDone {
 			if rs == wsFull {
 				// No destination (table momentarily full): cancel by
@@ -506,7 +548,7 @@ func (s *Set) relocateOut(st *tableState, m, j int) wstatus {
 		if st.groups[j].CompareAndSwap(w, wordReplace(w, uint64(m)|slotMark, flagSlot)) {
 			stepAt(SpSourceCleared)
 			histats.Observe(histats.HistRelocDist, uint64(dist))
-			return s.restore(st, j)
+			return s.restore(st, j, chain)
 		}
 		histats.Inc(histats.CtrHashCASFail)
 	}
@@ -517,7 +559,7 @@ func (s *Set) relocateOut(st *tableState, m, j int) wstatus {
 // the hole (via a marked relocation whose walk lands exactly there), and
 // cascade. If no key crossed the hole the flag is simply cleared — the
 // layout was already canonical.
-func (s *Set) restore(st *tableState, g int) wstatus {
+func (s *Set) restore(st *tableState, g int, chain *relocChain) wstatus {
 	G := len(st.groups)
 	for {
 		w := st.groups[g].Load()
@@ -574,7 +616,7 @@ func (s *Set) restore(st *tableState, g int) wstatus {
 			continue
 		}
 		stepAt(SpMarkSet)
-		if rs := s.relocateOut(st, best, bestAt); rs != wsDone {
+		if rs := s.relocateOut(st, best, bestAt, chain); rs != wsDone {
 			return rs
 		}
 	}
@@ -727,7 +769,7 @@ func rescanMatches(st *tableState, r runScan) bool {
 func (s *Set) displaceInsert(key int) int {
 	for {
 		st := s.current()
-		rs, dist := s.placeKey(st, key, -1)
+		rs, dist := s.placeKey(st, key, -1, nil)
 		switch rs {
 		case wsDone:
 			histats.Observe(histats.HistProbeLen, uint64(dist))
@@ -784,7 +826,7 @@ func (s *Set) displaceRemove(key int) int {
 			// Resolve the in-flight relocation first: removing a copy
 			// while a marked twin survives could resurrect the key.
 			histats.Inc(histats.CtrHelpRelocate)
-			s.relocateOut(st, key, r.foundAt)
+			s.relocateOut(st, key, r.foundAt, nil)
 			continue
 		}
 		w := st.groups[r.foundAt].Load()
@@ -796,7 +838,7 @@ func (s *Set) displaceRemove(key int) int {
 		}
 		if st.groups[r.foundAt].CompareAndSwap(w, wordReplace(w, uint64(key), flagSlot)) {
 			stepAt(SpFlagPlaced)
-			s.restore(st, r.foundAt)
+			s.restore(st, r.foundAt, nil)
 		} else {
 			histats.Inc(histats.CtrHashCASFail)
 		}
@@ -822,9 +864,10 @@ func LookupRetryLimit() int { return lookupRetryLimit }
 // first and a source-first scan cannot miss a migrating key. A positive
 // answer needs no validation (a marked key is logically present, and
 // keys move destination first, so anything seen is or was just now a
-// member); "absent" must read the same clean words twice on a stable
-// state. After lookupRetryLimit failed validations the retry loop ends
-// and the lookup helps the interference to completion instead.
+// member); "absent" must read the same clean words twice on a stable,
+// fully migrated state. A miss during a resize, or after
+// lookupRetryLimit failed validations, ends the retry loop, and the
+// lookup helps the interference to completion instead.
 func (s *Set) displaceContains(key int) bool {
 	bcast := swarBroadcast(key)
 	var r, oldScan probeScan
@@ -847,9 +890,16 @@ func (s *Set) displaceContains(key int) bool {
 			}
 			return true
 		}
+		if p != nil {
+			// A miss cannot be certified mid-resize: the drain empties an
+			// old group one key at a time, so a partly drained group
+			// reads clean and ends the old-array scan short of keys
+			// displaced past it that are not copied yet. Finish the
+			// drain and answer from the new array.
+			break
+		}
 		if !r.sawGone && fastMatches(st, &r) &&
-			(p == nil || fastMatches(p, &oldScan)) &&
-			s.st.Load() == st && st.prev.Load() == p {
+			s.st.Load() == st && st.prev.Load() == nil {
 			if try > 0 {
 				histats.Observe(histats.HistLookupRetry, uint64(try))
 			}
@@ -893,10 +943,10 @@ func (s *Set) containsSlow(key int) bool {
 			w := r.words[i]
 			if m := wordAnyMarked(w); m != 0 {
 				histats.Inc(histats.CtrHelpRelocate)
-				s.relocateOut(st, m, g)
+				s.relocateOut(st, m, g, nil)
 				helped = true
 			} else if swarFlagLanes(w) != 0 {
-				s.restore(st, g)
+				s.restore(st, g, nil)
 				helped = true
 			}
 		}

@@ -342,16 +342,7 @@ func TestDisplaceSetGrow(t *testing.T) {
 func TestDisplaceSetHomeOverload(t *testing.T) {
 	const domain = 400
 	s := hihash.NewDisplaceSet(domain, 16)
-	home := hihash.GroupOf(1, 16)
-	var mates []int
-	for k := 1; k <= domain && len(mates) < 3*hihash.SlotsPerGroup; k++ {
-		if hihash.GroupOf(k, 16) == home {
-			mates = append(mates, k)
-		}
-	}
-	if len(mates) < 2*hihash.SlotsPerGroup {
-		t.Skipf("domain too small to overload a home group: %d mates", len(mates))
-	}
+	mates := hihash.KeysHomingAt(domain, 16, hihash.GroupOf(1, 16), 3*hihash.SlotsPerGroup)
 	for _, k := range mates {
 		if rsp := s.Insert(k); rsp != 0 {
 			t.Fatalf("Insert(%d) = %d, want 0", k, rsp)

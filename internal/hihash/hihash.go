@@ -71,6 +71,23 @@ func GroupOf(key, groups int) int {
 	return int(z % uint64(groups))
 }
 
+// KeysHomingAt returns the n smallest keys of {1..domain} whose home is
+// group home of groups, in ascending order — the keys that overload one
+// group, the raw material of every displacement scenario. It panics if
+// fewer than n keys home there: the geometry cannot host the scenario.
+func KeysHomingAt(domain, groups, home, n int) []int {
+	ks := make([]int, 0, n)
+	for k := 1; k <= domain && len(ks) < n; k++ {
+		if GroupOf(k, groups) == home {
+			ks = append(ks, k)
+		}
+	}
+	if len(ks) < n {
+		panic(fmt.Sprintf("hihash: only %d keys of 1..%d home at group %d of %d, need %d", len(ks), domain, home, groups, n))
+	}
+	return ks
+}
+
 // Params fixes one table geometry: keys are {1..T}, hashed into G groups
 // of B slots each. The capacity of the table is G*B.
 type Params struct {

@@ -15,22 +15,6 @@ import (
 	"hiconc/internal/histats"
 )
 
-// keysHomingAt returns n distinct keys of {1..domain} homing at group
-// home of a G-group table.
-func keysHomingAt(t *testing.T, domain, G, home, n int) []int {
-	t.Helper()
-	var ks []int
-	for k := 1; k <= domain && len(ks) < n; k++ {
-		if GroupOf(k, G) == home {
-			ks = append(ks, k)
-		}
-	}
-	if len(ks) < n {
-		t.Fatalf("only %d keys of 1..%d home at group %d of %d", len(ks), domain, home, G)
-	}
-	return ks
-}
-
 // TestContainsSlowResolvesParkedMark pins the helping fallback against
 // a crafted parked relocation: a marked key with no owning operation.
 // The slow path must (1) report the marked key present without helping
@@ -40,7 +24,7 @@ func keysHomingAt(t *testing.T, domain, G, home, n int) []int {
 // leaving the memory canonical.
 func TestContainsSlowResolvesParkedMark(t *testing.T) {
 	const domain, G = 2000, 4
-	ks := keysHomingAt(t, domain, G, 0, 5)
+	ks := KeysHomingAt(domain, G, 0, 5)
 	x1, x2, mk, a := ks[0], ks[1], ks[3], ks[4]
 	craft := func() *Set {
 		s := NewDisplaceSet(domain, G)
@@ -60,7 +44,7 @@ func TestContainsSlowResolvesParkedMark(t *testing.T) {
 	// path directly, the lookup must complete the parked relocation
 	// itself and conclude absence from the stable view it produced.
 	s = craft()
-	absent := keysHomingAt(t, domain, G, 0, 6)[5]
+	absent := KeysHomingAt(domain, G, 0, 6)[5]
 	within(t, 20*time.Second, "containsSlow wedged helping a parked mark", func() {
 		if s.containsSlow(absent) {
 			t.Errorf("containsSlow(%d) = true for an absent key", absent)
@@ -86,7 +70,7 @@ func TestContainsSlowResolvesParkedMark(t *testing.T) {
 // slow path must run the shift and answer from the repaired layout.
 func TestContainsSlowResolvesRestoreFlag(t *testing.T) {
 	const domain, G = 2000, 4
-	ks := keysHomingAt(t, domain, G, 0, 5)
+	ks := KeysHomingAt(domain, G, 0, 5)
 	x1, x2, x3 := ks[0], ks[1], ks[2]
 	s := NewDisplaceSet(domain, G)
 	// Group 0 full-with-flag: three residents and a parked hole.

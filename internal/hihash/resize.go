@@ -100,13 +100,13 @@ func (s *Set) sweep(st *tableState) {
 				break
 			}
 			if m := wordAnyMarked(w); m != 0 {
-				if s.relocateOut(st, m, g) == wsRestart {
+				if s.relocateOut(st, m, g, nil) == wsRestart {
 					return
 				}
 				continue
 			}
 			if wordFlags(w) > 0 {
-				if s.restore(st, g) == wsRestart {
+				if s.restore(st, g, nil) == wsRestart {
 					return
 				}
 				continue
@@ -175,7 +175,7 @@ func (s *Set) drainGroup(p *tableState, g int, cur *tableState) {
 		key := int(sl & slotKey)
 		// Destination first: the key must live in the new table before
 		// its old copy disappears.
-		if rs, _ := s.placeKey(cur, key, -1); rs != wsDone {
+		if rs, _ := s.placeKey(cur, key, -1, nil); rs != wsDone {
 			// wsFull cannot normally happen (the new array is twice the
 			// old), and wsRestart means cur itself was resized — reload
 			// and retry via the caller's loop.

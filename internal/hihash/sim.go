@@ -411,7 +411,7 @@ func (t *simTable) insert(key int) int {
 		if lv == 1 {
 			t.drainGroup(GroupOf(key, t.p.G))
 		}
-		switch st, _ := t.placeKey(lv, key, -1); st {
+		switch st, _ := t.placeKey(lv, key, -1, nil); st {
 		case simDone:
 			return 0
 		case simFullStatus:
@@ -457,7 +457,7 @@ func (t *simTable) confirmFull(lv, key int) (full, ok bool) {
 
 // placeKey is the simulated displacement walk: identical decisions to
 // the native Set.placeKey, one scheduler step per shared access.
-func (t *simTable) placeKey(lv, c, exclude int) (simStatus, int) {
+func (t *simTable) placeKey(lv, c, exclude int, chain *relocChain) (simStatus, int) {
 	G := t.groupsAt(lv)
 	g := GroupOf(c, G)
 	for dist := 0; dist < G; {
@@ -477,14 +477,14 @@ func (t *simTable) placeKey(lv, c, exclude int) (simStatus, int) {
 			if !view[i].marked {
 				return simDone, dist
 			}
-			if st := t.relocateOut(lv, c, g); st != simDone {
+			if st := t.relocateOut(lv, c, g, chain); st != simDone {
 				return st, dist
 			}
 			continue
 		}
 		if len(slots) < t.p.B {
 			if t.cas(lv, g, s, append(append([]simSlot(nil), slots...), simSlot{key: c})) {
-				return t.placed(lv, c, dist), dist
+				return t.placed(lv, c, dist, chain), dist
 			}
 			continue
 		}
@@ -492,7 +492,7 @@ func (t *simTable) placeKey(lv, c, exclude int) (simStatus, int) {
 			next := append([]simSlot(nil), slots...)
 			next[i] = simSlot{key: c}
 			if t.cas(lv, g, s, next) {
-				return t.placed(lv, c, dist), dist
+				return t.placed(lv, c, dist, chain), dist
 			}
 			continue
 		}
@@ -517,9 +517,9 @@ func (t *simTable) placeKey(lv, c, exclude int) (simStatus, int) {
 			if !t.cas(lv, g, s, next) {
 				continue
 			}
-			st := t.finishEvict(lv, c, m, g)
+			st := t.finishEvict(lv, c, m, g, chain)
 			if st == simDone {
-				return t.placed(lv, c, dist), dist
+				return t.placed(lv, c, dist, chain), dist
 			}
 			if st == simLost {
 				continue
@@ -527,13 +527,15 @@ func (t *simTable) placeKey(lv, c, exclude int) (simStatus, int) {
 			return st, dist
 		}
 		if c < maxAnySlot(view) {
-			if mk := anyMarkedSlot(view); mk != 0 && mk != c {
-				if st := t.relocateOut(lv, mk, g); st != simDone {
+			// Help any foreign mark but those on chain; a group jammed
+			// only by chain marks is passed (see the native relocChain).
+			if mk := helpableMarkSlot(view, c, chain); mk != 0 {
+				if st := t.relocateOut(lv, mk, g, chain); st != simDone {
 					return st, dist
 				}
 				continue
 			}
-			if g != exclude {
+			if g != exclude && markedCount(view) == 0 {
 				continue
 			}
 		}
@@ -555,8 +557,9 @@ func maskOwnMark(slots []simSlot, c int) []simSlot {
 }
 
 // finishEvict mirrors the native finishEvict.
-func (t *simTable) finishEvict(lv, c, m, g int) simStatus {
-	if st, _ := t.placeKey(lv, m, g); st != simDone {
+func (t *simTable) finishEvict(lv, c, m, g int, chain *relocChain) simStatus {
+	link := relocChain{m, chain}
+	if st, _ := t.placeKey(lv, m, g, &link); st != simDone {
 		if st == simFullStatus {
 			t.unmark(lv, m, g)
 			return simFullStatus
@@ -585,7 +588,7 @@ func (t *simTable) finishEvict(lv, c, m, g int) simStatus {
 // reachable by a standard probe scan — a racing delete can strand it
 // beyond a freed group. The repair loop helps pending restores before
 // it, or pulls the key back itself when a settled hole precedes it.
-func (t *simTable) placed(lv, c, dist int) simStatus {
+func (t *simTable) placed(lv, c, dist int, chain *relocChain) simStatus {
 	if dist == 0 {
 		return simDone
 	}
@@ -617,7 +620,7 @@ func (t *simTable) placed(lv, c, dist int) simStatus {
 			return simDone
 		case foundAt >= 0:
 			for _, f := range flagged {
-				if st := t.restore(lv, f); st != simDone {
+				if st := t.restore(lv, f, chain); st != simDone {
 					return st
 				}
 			}
@@ -639,7 +642,7 @@ func (t *simTable) placed(lv, c, dist int) simStatus {
 			if !t.cas(lv, at, s, next) {
 				continue
 			}
-			if st := t.relocateOut(lv, c, at); st != simDone {
+			if st := t.relocateOut(lv, c, at, chain); st != simDone {
 				return st
 			}
 		}
@@ -678,7 +681,8 @@ func (t *simTable) unmark(lv, m, g int) {
 
 // relocateOut mirrors the native relocateOut: complete marked key m's
 // relocation at group j, releasing the stale slot into a restore flag.
-func (t *simTable) relocateOut(lv, m, j int) simStatus {
+func (t *simTable) relocateOut(lv, m, j int, chain *relocChain) simStatus {
+	link := relocChain{m, chain}
 	for {
 		s, slots, isGone := t.read(lv, j)
 		if isGone {
@@ -688,7 +692,7 @@ func (t *simTable) relocateOut(lv, m, j int) simStatus {
 		if i < 0 || !slots[i].marked {
 			return simDone
 		}
-		if st, _ := t.placeKey(lv, m, j); st != simDone {
+		if st, _ := t.placeKey(lv, m, j, &link); st != simDone {
 			if st == simFullStatus {
 				next := append([]simSlot(nil), slots...)
 				next[i] = simSlot{key: m}
@@ -702,13 +706,13 @@ func (t *simTable) relocateOut(lv, m, j int) simStatus {
 		next := append([]simSlot(nil), slots...)
 		next[i] = simSlot{flag: true}
 		if t.cas(lv, j, s, next) {
-			return t.restore(lv, j)
+			return t.restore(lv, j, chain)
 		}
 	}
 }
 
 // restore mirrors the native backward shift.
-func (t *simTable) restore(lv, g int) simStatus {
+func (t *simTable) restore(lv, g int, chain *relocChain) simStatus {
 	G := t.groupsAt(lv)
 	for {
 		s, slots, isGone := t.read(lv, g)
@@ -758,7 +762,7 @@ func (t *simTable) restore(lv, g int) simStatus {
 		if !t.cas(lv, bestAt, js, next) {
 			continue
 		}
-		if st := t.relocateOut(lv, best, bestAt); st != simDone {
+		if st := t.relocateOut(lv, best, bestAt, chain); st != simDone {
 			return st
 		}
 	}
@@ -787,7 +791,7 @@ func (t *simTable) remove(key int) int {
 			continue
 		}
 		if marked {
-			t.relocateOut(lv, key, foundAt)
+			t.relocateOut(lv, key, foundAt, nil)
 			continue
 		}
 		s, slots, isGone := t.read(lv, foundAt)
@@ -812,7 +816,7 @@ func (t *simTable) remove(key int) int {
 			// removal may have copied the key elsewhere; only a
 			// validated clean scan on a stable level confirms it is
 			// gone everywhere.
-			t.restore(lv, foundAt)
+			t.restore(lv, foundAt, nil)
 		}
 	}
 }
@@ -833,21 +837,15 @@ func (t *simTable) lookup(key int) int {
 	for try := 0; try < simLookupRetryLimit; try++ {
 		lv := t.level()
 		if lv == 1 {
-			found, _, _, oldWords, oldGroups, _ := t.scan(0, key, true)
-			if found {
+			if found, _, _, _, _, _ := t.scan(0, key, true); found {
 				return 1
 			}
-			nfound, _, _, words, groups, sawGone := t.scan(1, key, false)
-			if nfound {
+			if found, _, _, _, _, _ := t.scan(1, key, false); found {
 				return 1
 			}
-			if sawGone {
-				continue
-			}
-			if t.validate(1, groups, words) && t.validate(0, oldGroups, oldWords) && t.level() == 1 {
-				return 0
-			}
-			continue
+			// Mirrors the native read: a miss mid-resize is never
+			// certified (a partly drained old group reads clean).
+			return t.lookupSlow(key)
 		}
 		found, _, _, words, groups, sawGone := t.scan(0, key, false)
 		if found {
@@ -892,12 +890,12 @@ func (t *simTable) lookupSlow(key int) int {
 			}
 			for _, sl := range decodeSlots(words[i]) {
 				if sl.marked {
-					t.relocateOut(lv, sl.key, g)
+					t.relocateOut(lv, sl.key, g, nil)
 					helped = true
 					break
 				}
 				if sl.flag {
-					t.restore(lv, g)
+					t.restore(lv, g, nil)
 					helped = true
 					break
 				}
@@ -987,7 +985,7 @@ func (t *simTable) drainGroup(g int) {
 			continue
 		}
 		key := slots[0].key
-		if st, _ := t.placeKey(1, key, -1); st != simDone {
+		if st, _ := t.placeKey(1, key, -1, nil); st != simDone {
 			continue
 		}
 		next := append([]simSlot(nil), slots[1:]...)
@@ -1035,9 +1033,11 @@ func maxAnySlot(slots []simSlot) int {
 	return max
 }
 
-func anyMarkedSlot(slots []simSlot) int {
+// helpableMarkSlot mirrors the native helpableMark: the first marked
+// key of slots other than c and the keys on chain, or 0.
+func helpableMarkSlot(slots []simSlot, c int, chain *relocChain) int {
 	for _, sl := range slots {
-		if sl.marked {
+		if sl.marked && sl.key != c && !chain.holds(sl.key) {
 			return sl.key
 		}
 	}

@@ -40,15 +40,7 @@ func within(t *testing.T, d time.Duration, wedged string, fn func()) {
 func TestPlaceKeyParkedMarkNotMax(t *testing.T) {
 	const domain, G = 2000, 4
 	s := NewDisplaceSet(domain, G)
-	var ks []int
-	for k := 1; k <= domain && len(ks) < 5; k++ {
-		if GroupOf(k, G) == 0 {
-			ks = append(ks, k)
-		}
-	}
-	if len(ks) < 5 {
-		t.Fatalf("not enough keys homing at group 0: %v", ks)
-	}
+	ks := KeysHomingAt(domain, G, 0, 5)
 	x1, x2, c, mk, a := ks[0], ks[1], ks[2], ks[3], ks[4]
 	// The adversarial window, crafted directly: mk is marked (its
 	// eviction is parked) and a > mk occupies the slot a racing remove
@@ -82,12 +74,7 @@ func TestPlaceKeyParkedMarkNotMax(t *testing.T) {
 // resurrect.
 func TestRemoveWithParkedOutrankedMark(t *testing.T) {
 	const domain, G = 2000, 4
-	var ks []int
-	for k := 1; k <= domain && len(ks) < 5; k++ {
-		if GroupOf(k, G) == 0 {
-			ks = append(ks, k)
-		}
-	}
+	ks := KeysHomingAt(domain, G, 0, 5)
 	x1, x2, mk, a := ks[0], ks[1], ks[3], ks[4]
 	craft := func() *Set {
 		s := NewDisplaceSet(domain, G)
@@ -111,5 +98,54 @@ func TestRemoveWithParkedOutrankedMark(t *testing.T) {
 		if got, canon := s.Snapshot(), CanonicalSetSnapshot(domain, s.NumGroups(), s.Elements()); got != canon {
 			t.Fatalf("Remove(%d): memory not canonical:\n got:  %s\n want: %s", victim, got, canon)
 		}
+	}
+}
+
+// TestRelocateHelpingRing pins the helping-ring regression: three full
+// groups, each holding one marked key whose placement walk outranks the
+// residents of the next group round the ring — key 1 (home 2) marked in
+// g0, key 2 (home 1) marked in g2, key 3 (home 0) marked in g1. Each
+// walk finds its first group jammed by the next ring mark and helps it
+// first, so relocateOut(1) → placeKey(1) → relocateOut(2) → placeKey(2)
+// → relocateOut(3) → placeKey(3) → relocateOut(1) → … recursed until the
+// stack overflowed. The walk must pass a group jammed only by marks its
+// own goroutine is already relocating, leave every key present exactly
+// once, and a grow must then restore canonical memory.
+func TestRelocateHelpingRing(t *testing.T) {
+	const domain, G = 200, 3
+	for k, home := range map[int]int{1: 2, 2: 1, 3: 0} {
+		if g := GroupOf(k, G); g != home {
+			t.Fatalf("GroupOf(%d, %d) = %d, the ring needs %d", k, G, g, home)
+		}
+	}
+	s := NewDisplaceSet(domain, G)
+	st := s.st.Load()
+	for g, slots := range [G][SlotsPerGroup]uint64{
+		{1 | slotMark, 190, 191, 192},
+		{3 | slotMark, 193, 194, 195},
+		{2 | slotMark, 196, 197, 198},
+	} {
+		st.groups[g].Store(packWord(&slots, SlotsPerGroup))
+	}
+	within(t, 20*time.Second, "relocateOut wedged on a helping ring", func() {
+		s.relocateOut(st, 1, 0, nil)
+	})
+	want := []int{1, 2, 3, 190, 191, 192, 193, 194, 195, 196, 197, 198}
+	copies := map[int]int{}
+	for _, w := range s.RawWords() {
+		for i := 0; i < SlotsPerGroup; i++ {
+			if sl := slotAt(w, i); sl != 0 && sl != flagSlot {
+				copies[int(sl&slotKey)]++
+			}
+		}
+	}
+	for _, k := range want {
+		if copies[k] != 1 || !s.Contains(k) {
+			t.Fatalf("key %d: %d physical copies, Contains = %v after the ring resolved\n%s", k, copies[k], s.Contains(k), s.Snapshot())
+		}
+	}
+	s.Grow()
+	if got, canon := s.Snapshot(), CanonicalSetSnapshot(domain, s.NumGroups(), want); got != canon {
+		t.Fatalf("memory not canonical after the ring and a grow:\n got:  %s\n want: %s", got, canon)
 	}
 }
