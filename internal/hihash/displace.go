@@ -211,7 +211,7 @@ const probeLimit = 4
 // before walking its placement. Helping is recursive — a walk jammed by
 // a foreign mark completes that relocation first — so without the
 // chain a ring of full groups, each jammed by the mark the previous
-// group's walk is helping, recursed until the stack overflowed. The
+// group's walk is helping, would recurse until the stack overflows. The
 // links live in the callers' frames; nil is the empty chain.
 type relocChain struct {
 	key  int
@@ -292,6 +292,19 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 			if rs := s.relocateOut(st, c, g, chain); rs != wsDone {
 				return rs, dist
 			}
+			continue
+		}
+		if g == exclude && view != w && (wordZeros(w) > 0 || wordFlags(w) > 0) {
+			// The walk is back at c's own marked source and the group
+			// has room: c stays, so the relocation resolves in place.
+			// A second, unmarked c beside the mark would leave a group
+			// restore cannot pull from: it would pick the unmarked
+			// copy, meet the marked one first and retry forever.
+			if st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(c)|slotMark, uint64(c))) {
+				stepAt(SpEvictSwap)
+				return wsDone, dist
+			}
+			histats.Inc(histats.CtrHashCASFail)
 			continue
 		}
 		if wordZeros(w) > 0 {

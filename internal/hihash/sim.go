@@ -482,6 +482,16 @@ func (t *simTable) placeKey(lv, c, exclude int, chain *relocChain) (simStatus, i
 			}
 			continue
 		}
+		if i := slotIndex(slots, c); g == exclude && i >= 0 && slots[i].marked && (len(slots) < t.p.B || flagIndex(slots) >= 0) {
+			// Back at c's own marked source with room: resolve the
+			// relocation in place, mirroring the native walk.
+			next := append([]simSlot(nil), slots...)
+			next[i] = simSlot{key: c}
+			if t.cas(lv, g, s, next) {
+				return simDone, dist
+			}
+			continue
+		}
 		if len(slots) < t.p.B {
 			if t.cas(lv, g, s, append(append([]simSlot(nil), slots...), simSlot{key: c})) {
 				return t.placed(lv, c, dist, chain), dist

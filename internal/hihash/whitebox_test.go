@@ -149,3 +149,44 @@ func TestRelocateHelpingRing(t *testing.T) {
 		t.Fatalf("memory not canonical after the ring and a grow:\n got:  %s\n want: %s", got, canon)
 	}
 }
+
+// TestRelocateBackToSourceResolvesInPlace pins the restore-cascade
+// livelock: a marked key c whose walk finds every group before its own
+// source full comes back to that source, which has room. Adding a
+// second, unmarked c there left a marked and an unmarked copy in one
+// group; a remove that opened a hole on c's run then ran restore, which
+// picked the unmarked copy, found the marked one first and retried
+// forever. The hook opens that hole the instant the walk lands.
+func TestRelocateBackToSourceResolvesInPlace(t *testing.T) {
+	const domain, G = 200, 3
+	ks := KeysHomingAt(domain, G, 0, SlotsPerGroup+1)
+	c := ks[SlotsPerGroup]
+	y := KeysHomingAt(domain, G, 1, 1)[0]
+	s := NewDisplaceSet(domain, G)
+	st := s.st.Load()
+	full := [SlotsPerGroup]uint64{uint64(ks[0]), uint64(ks[1]), uint64(ks[2]), uint64(ks[3])}
+	st.groups[0].Store(packWord(&full, SlotsPerGroup))
+	source := [SlotsPerGroup]uint64{uint64(c) | slotMark, uint64(y)}
+	st.groups[1].Store(packWord(&source, 2))
+	landed := false
+	SetStepHook(func(p Steppoint) {
+		if !landed && (p == SpDestWritten || p == SpEvictSwap) {
+			landed = true
+			s.Remove(ks[0])
+		}
+	})
+	defer SetStepHook(nil)
+	within(t, 20*time.Second, "restore wedged on a key marked and unmarked in one group", func() {
+		s.relocateOut(st, c, 1, nil)
+	})
+	want := []int{ks[1], ks[2], ks[3], c, y}
+	for _, k := range want {
+		if !s.Contains(k) {
+			t.Fatalf("Contains(%d) = false after the relocation\n%s", k, s.Snapshot())
+		}
+	}
+	s.Grow()
+	if got, canon := s.Snapshot(), CanonicalSetSnapshot(domain, s.NumGroups(), want); got != canon {
+		t.Fatalf("memory not canonical after the relocation and a grow:\n got:  %s\n want: %s", got, canon)
+	}
+}
