@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"time"
 
@@ -9,7 +10,7 @@ import (
 	"hiconc/internal/hihash"
 )
 
-func runE23() {
+func runE23() error {
 	fmt.Println("=== E23: adversarial observers — crash exposure and recovery cost")
 	const domain, groups = 8, 2
 	script := faultinject.OverloadScript(domain, groups)
@@ -22,6 +23,15 @@ func runE23() {
 	fmt.Printf("%16s %8s %10s %10s %14s\n", "steppoint", "cells", "mid-drain", "max dist", "recovery")
 	newSet := func() *hihash.Set { return hihash.NewDisplaceSet(domain, groups) }
 	cells := faultinject.KillMatrix(newSet, script)
+	var recoveryErr error
+	for _, c := range cells {
+		if c.Err != nil {
+			recoveryErr = errors.Join(recoveryErr, fmt.Errorf("E23: crash at %s: %w", c.Plan, c.Err))
+		}
+	}
+	if recoveryErr != nil {
+		return recoveryErr
+	}
 	for len(cells) > 0 {
 		sp := cells[0].Plan.Point
 		n, mid, maxDist := 0, 0, 0
@@ -74,4 +84,5 @@ func runE23() {
 		perOp(tTwin, pairs), pairs, mismatches)
 	record("E23", "twin/displace-pair", "ns/pair", float64(tTwin.Nanoseconds())/float64(pairs))
 	record("E23", "twin/displace-mismatches", "count", float64(mismatches))
+	return nil
 }

@@ -192,14 +192,14 @@ func run() (retErr error) {
 	if all || want["E22"] {
 		runE22()
 	}
-	if all || want["E23"] {
-		runE23()
-	}
-	// The E24/E25 gates must not stop the results from being written or
+	// The E23-E26 gates must not stop the results from being written or
 	// checked; their errors are reported after the bookkeeping below.
 	var gateErr error
+	if all || want["E23"] {
+		gateErr = runE23()
+	}
 	if all || want["E24"] {
-		gateErr = runE24()
+		gateErr = errors.Join(gateErr, runE24())
 	}
 	if all || want["E25"] {
 		gateErr = errors.Join(gateErr, runE25())

@@ -787,13 +787,16 @@ func runE26() error {
 	for _, k := range heavy[1:] {
 		ops = append(ops, faultinject.Op{Verb: faultinject.Insert, Key: k})
 	}
-	parked := faultinject.NewScript(append(ops, faultinject.Op{Verb: faultinject.Insert, Key: heavy[0]})...)
+	parked := faultinject.NewScript(ops...)
 	ps := hihash.NewDisplaceSet(domain, 2)
-	if !faultinject.RunKilled(faultinject.Plan{Point: hihash.SpMarkSet, Occurrence: 1}, func() { parked.Run(ps) }) {
+	if !faultinject.RunKilled(faultinject.Plan{Point: hihash.SpMarkSet, Occurrence: 1}, func() {
+		parked.Run(ps)
+		ps.Insert(heavy[0])
+	}) {
 		return errors.New("park-at-mark: the displacing insert never reached mark-set")
 	}
 	expected := map[int]bool{}
-	for _, k := range parked.Reachable[len(ops)] {
+	for _, k := range parked.Final {
 		expected[k] = true
 	}
 	const parkReaders, parkSweeps = 4, 50
@@ -821,8 +824,10 @@ func runE26() error {
 		return err
 	default:
 	}
-	// Recovery: re-settling the membership resolves the parked mark and
-	// must restore canonical memory exactly (the Kill matrix's rule).
+	// Recovery: settling heavy[1:] — the marked resident's own Insert
+	// helps its relocation complete — must leave no trace of the dead
+	// insert's key and restore canonical memory exactly (the Kill
+	// matrix's rule).
 	if _, err := parked.Recover(ps); err != nil {
 		return fmt.Errorf("park-at-mark: %w", err)
 	}

@@ -294,18 +294,24 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 			}
 			continue
 		}
-		if g == exclude && view != w && (wordZeros(w) > 0 || wordFlags(w) > 0) {
-			// The walk is back at c's own marked source and the group
-			// has room: c stays, so the relocation resolves in place.
-			// A second, unmarked c beside the mark would leave a group
-			// restore cannot pull from: it would pick the unmarked
-			// copy, meet the marked one first and retry forever.
-			if st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(c)|slotMark, uint64(c))) {
-				stepAt(SpEvictSwap)
-				return wsDone, dist
+		if g == exclude {
+			// Back at c's own marked source, c stays — the relocation is
+			// cancelled in place, which is the placement — when the
+			// group has room for c (a second, unmarked c beside the mark
+			// would leave a group restore cannot pull from: it would
+			// pick the unmarked copy, meet the marked one first and
+			// retry forever), or when the group is full and c outranks
+			// an unmarked resident (the relocation is obsolete: a larger
+			// key claimed a freed slot while the mark was parked).
+			room := wordZeros(w) > 0 || wordFlags(w) > 0
+			if m := wordMaxUnmarked(view); room && view != w || !room && m != 0 && c < m {
+				if st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(c)|slotMark, uint64(c))) {
+					stepAt(SpEvictSwap)
+					return wsDone, dist
+				}
+				histats.Inc(histats.CtrHashCASFail)
+				continue
 			}
-			histats.Inc(histats.CtrHashCASFail)
-			continue
 		}
 		if wordZeros(w) > 0 {
 			if st.groups[g].CompareAndSwap(w, wordAdd(w, uint64(c))) {
@@ -326,20 +332,7 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 			histats.Inc(histats.CtrHashCASFail)
 			continue
 		}
-		if g == exclude {
-			if m := wordMaxUnmarked(view); m != 0 && c < m {
-				// c outranks an unmarked resident of the very group its
-				// stale copy sits in: the relocation is obsolete (a
-				// larger key claimed a freed slot while the mark was
-				// parked) — cancel it in place, which is the placement.
-				if st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(c)|slotMark, uint64(c))) {
-					stepAt(SpEvictSwap)
-					return wsDone, dist
-				}
-				histats.Inc(histats.CtrHashCASFail)
-				continue
-			}
-		} else if m := wordMaxUnmarked(w); m != 0 && c < m && wordMarks(w) == 0 {
+		if m := wordMaxUnmarked(w); g != exclude && m != 0 && c < m && wordMarks(w) == 0 {
 			// Ordered Robin Hood eviction: mark the largest resident,
 			// place it further along its run, then swap the stale mark
 			// for c in one CAS on this word.
@@ -883,13 +876,13 @@ func LookupRetryLimit() int { return lookupRetryLimit }
 // lookup helps the interference to completion instead.
 func (s *Set) displaceContains(key int) bool {
 	bcast := swarBroadcast(key)
-	var r, oldScan probeScan
+	var r probeScan
 	for try := 0; try < lookupRetryLimit; try++ {
 		st := s.st.Load()
 		p := st.prev.Load()
 		if p != nil {
-			fastScan(p, key, bcast, true, &oldScan)
-			if oldScan.found {
+			fastScan(p, key, bcast, true, &r)
+			if r.found {
 				if try > 0 {
 					histats.Observe(histats.HistLookupRetry, uint64(try))
 				}
@@ -909,7 +902,10 @@ func (s *Set) displaceContains(key int) bool {
 			// reads clean and ends the old-array scan short of keys
 			// displaced past it that are not copied yet. Finish the
 			// drain and answer from the new array.
-			break
+			if try > 0 {
+				histats.Observe(histats.HistLookupRetry, uint64(try))
+			}
+			return s.containsSlow(key)
 		}
 		if !r.sawGone && fastMatches(st, &r) &&
 			s.st.Load() == st && st.prev.Load() == nil {
@@ -920,28 +916,30 @@ func (s *Set) displaceContains(key int) bool {
 		}
 		histats.Inc(histats.CtrLookupRetry)
 	}
+	histats.Observe(histats.HistLookupRetry, uint64(lookupRetryLimit))
 	return s.containsSlow(key)
 }
 
 // containsSlow is the helping fallback of the read path: the fast path
-// burned its retry budget against live interference, so instead of
-// spinning further the reader completes the interference itself. It
-// drives any in-flight migration to completion (current), then
-// repeatedly scans the key's run, helping every relocation mark and
-// restore flag it recorded — the same relocateOut/restore machinery the
-// update paths use — until a pass either finds the key or validates
-// clean on a stable state. Every non-terminal pass retires protocol
-// work some update already started, so the loop inherits the update
-// paths' lock-free progress argument instead of spinning on validation.
+// burned its retry budget against live interference, or missed while a
+// resize was draining, so instead of spinning the reader completes the
+// interference itself. It drives any in-flight migration to completion
+// (current), then repeatedly scans the key's run, helping every
+// relocation mark and restore flag it recorded — the same
+// relocateOut/restore machinery the update paths use — until a pass
+// either finds the key or validates clean on a stable state. Every
+// non-terminal pass retires protocol work some update already started,
+// so the loop inherits the update paths' lock-free progress argument
+// instead of spinning on validation.
 //
 // Helping writes to the table, but only the transitions pending updates
-// already own — it can never reach this path without live interference
-// (at quiescence the first validation succeeds), so a read in isolation
-// stays write-free and the raw-dump twin checks keep holding with
-// readers present (DESIGN.md, "The read path").
+// already own: validation interference or a drain some Insert started.
+// At quiescence the first validation succeeds and no resize is in
+// flight, so a read in isolation stays write-free and the raw-dump twin
+// checks keep holding with readers present (DESIGN.md, "The read
+// path").
 func (s *Set) containsSlow(key int) bool {
 	histats.Inc(histats.CtrLookupHelp)
-	histats.Observe(histats.HistLookupRetry, uint64(lookupRetryLimit))
 	for {
 		st := s.current()
 		r := scanRun(st, key, false)

@@ -12,9 +12,10 @@ package hihash
 // before operating (current), which pins two invariants at once: an
 // update's key can never hide in the old array when the update decides,
 // and the new array cannot overfill while the old one still holds keys
-// (a second grow cannot start before the first finishes). Lookups stay
-// read-only and scan the old array source-first instead. When every old
-// group is stamped gone, prev is detached and the resize is over.
+// (a second grow cannot start before the first finishes). Lookups scan
+// the old array source-first instead: a hit returns at once, a miss
+// helps finish the drain before it answers (containsSlow). When every
+// old group is stamped gone, prev is detached and the resize is over.
 //
 // The operation that triggered the grow drains the whole old array
 // before returning, so a completed resize cannot leave a half-migrated

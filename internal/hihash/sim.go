@@ -482,15 +482,23 @@ func (t *simTable) placeKey(lv, c, exclude int, chain *relocChain) (simStatus, i
 			}
 			continue
 		}
-		if i := slotIndex(slots, c); g == exclude && i >= 0 && slots[i].marked && (len(slots) < t.p.B || flagIndex(slots) >= 0) {
-			// Back at c's own marked source with room: resolve the
-			// relocation in place, mirroring the native walk.
-			next := append([]simSlot(nil), slots...)
-			next[i] = simSlot{key: c}
-			if t.cas(lv, g, s, next) {
-				return simDone, dist
+		if g == exclude {
+			// Back at c's own marked source: cancel the relocation in
+			// place when the group has room or c outranks an unmarked
+			// resident of a full one, mirroring the native walk.
+			room := len(slots) < t.p.B || flagIndex(slots) >= 0
+			if m := maxUnmarkedSlot(view); room && len(view) < len(slots) || !room && m != 0 && c < m {
+				i := slotIndex(slots, c)
+				if i < 0 || !slots[i].marked {
+					continue
+				}
+				next := append([]simSlot(nil), slots...)
+				next[i] = simSlot{key: c}
+				if t.cas(lv, g, s, next) {
+					return simDone, dist
+				}
+				continue
 			}
-			continue
 		}
 		if len(slots) < t.p.B {
 			if t.cas(lv, g, s, append(append([]simSlot(nil), slots...), simSlot{key: c})) {
@@ -506,23 +514,7 @@ func (t *simTable) placeKey(lv, c, exclude int, chain *relocChain) (simStatus, i
 			}
 			continue
 		}
-		if g == exclude {
-			if m := maxUnmarkedSlot(view); m != 0 && c < m {
-				// The relocation is obsolete (a larger key claimed a
-				// freed slot while the mark was parked): cancel it in
-				// place, which is the placement.
-				i := slotIndex(slots, c)
-				if i < 0 || !slots[i].marked {
-					continue
-				}
-				next := append([]simSlot(nil), slots...)
-				next[i] = simSlot{key: c}
-				if t.cas(lv, g, s, next) {
-					return simDone, dist
-				}
-				continue
-			}
-		} else if m := maxUnmarkedSlot(slots); m != 0 && c < m && markedCount(slots) == 0 {
+		if m := maxUnmarkedSlot(slots); g != exclude && m != 0 && c < m && markedCount(slots) == 0 {
 			next := markSlot(slots, m)
 			if !t.cas(lv, g, s, next) {
 				continue

@@ -59,7 +59,7 @@ const (
 	CtrHashCASFail  // a CAS on a group word lost its race (one retry loop turn)
 	CtrLookupRetry  // a validated double collect had to restart
 	CtrHelpRelocate // a relocation completed on behalf of another operation
-	CtrLookupHelp   // a lookup burned its retry budget and fell back to helping
+	CtrLookupHelp   // a lookup fell back to helping: it burned its retry budget, or missed mid-resize
 
 	// API-layer operation counts (obj.HashSet — the table itself keeps
 	// its single-load lookups instrumentation-free; see DESIGN.md).
