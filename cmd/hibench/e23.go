@@ -26,7 +26,7 @@ func runE23() error {
 	var recoveryErr error
 	for _, c := range cells {
 		if c.Err != nil {
-			recoveryErr = errors.Join(recoveryErr, fmt.Errorf("E23: crash at %s: %w", c.Plan, c.Err))
+			recoveryErr = errors.Join(recoveryErr, fmt.Errorf("E23: %w", c.Err))
 		}
 	}
 	if recoveryErr != nil {

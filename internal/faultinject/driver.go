@@ -229,7 +229,8 @@ func RandomSet(rng *rand.Rand, domain, maxLen int) []int {
 		}
 	}
 	for len(out) > maxLen {
-		out = append(out[:rng.Intn(len(out))], out[rng.Intn(len(out))+1:]...)
+		i := rng.Intn(len(out))
+		out = append(out[:i], out[i+1:]...)
 	}
 	return out
 }
