@@ -59,6 +59,11 @@ func TestDisplaceSimSequentialCanon(t *testing.T) {
 // class the HICHT paper proves. Exhaustive within budget, then deep
 // randomized schedules.
 func TestDisplaceSimSQHIAndLinearizable(t *testing.T) {
+	// The three full-budget sim checks (this one, ResizeSchedules and
+	// WideGroups) take minutes of CPU each and share no mutable state,
+	// so they run in parallel: serially they take most of go test's
+	// default ten-minute package timeout on a 2-core host.
+	t.Parallel()
 	p := displaceParams
 	h := hihash.NewDisplaceHarness(p, 2, hihash.DisplaceCanonical)
 	c, err := hicheck.BuildCanon(h, 3, 4000)
@@ -105,6 +110,7 @@ func TestDisplaceSimSQHIAndLinearizable(t *testing.T) {
 // completed, the memory must be the canonical layout of the doubled
 // geometry.
 func TestDisplaceSimResizeSchedules(t *testing.T) {
+	t.Parallel()
 	p := displaceParams
 	h := hihash.NewDisplaceHarness(p, 2, hihash.DisplaceCanonical)
 	c, err := hicheck.BuildCanon(h, 3, 4000)
@@ -147,6 +153,7 @@ func TestDisplaceSimResizeSchedules(t *testing.T) {
 // overflow a two-slot group and displacement, eviction marks and the
 // backward shift all run with multi-key groups.
 func TestDisplaceSimWideGroups(t *testing.T) {
+	t.Parallel()
 	p := hihash.Params{T: 5, G: 2, B: 2}
 	if hihash.GroupOf(2, 2) != hihash.GroupOf(4, 2) || hihash.GroupOf(4, 2) != hihash.GroupOf(5, 2) {
 		t.Fatal("geometry assumption broken: keys 2,4,5 no longer share a group")
