@@ -27,6 +27,12 @@ package hihash
 //
 // Every operation helps complete the relocations it encounters
 // (relocateOut), so a parked relocation cannot wedge the table.
+//
+// The only state kept outside the group words is the ghost-window
+// count (ghostWindows): how many intervals are open in which some
+// physical copy may sit where no probe scan from its home reaches it.
+// A remove whose validated scan finds nothing sweeps the whole table
+// for such a copy only while the count is non-zero.
 // Lookups are validated double collects with a bounded retry budget: a
 // scan that answers "absent" must read the same clean words twice, and
 // after lookupRetryLimit failed validations the reader stops spinning
@@ -43,14 +49,67 @@ package hihash
 // losses, helping, lookup restarts — whose disabled nil-check executes
 // exactly when the contention they count happened, plus one probe-length
 // observation per displacing insert. Lookups that succeed first pass
-// stay instrumentation-free and allocation-free (the collect records
-// live in a fixed-size stack buffer; TestLookupAllocs pins this).
+// stay instrumentation-free, and every operation at quiescence is
+// allocation-free (the collect records live in a fixed-size stack
+// buffer; TestLookupAllocs and TestUpdateAllocs pin this).
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"hiconc/internal/histats"
 )
+
+// cacheLine separates the ghost-window count from the fields every
+// operation loads.
+const cacheLine = 64
+
+// ghostWindows counts the open ghost windows of a displacing Set: the
+// intervals in which a physical copy of some key may sit beyond a clean
+// group of its probe run, where no scan from its home reaches it. Two
+// kinds exist, each opened just before the CAS that starts it, so a
+// goroutine killed at the steppoint after that CAS leaves it open:
+//
+//   - a mark window, from just before a mark CAS until the CAS that
+//     clears the mark — a release into a restore flag or the drain's
+//     drop of the marked slot close it at once; a CAS that clears the
+//     mark and leaves a key where it sits (evict-swap, an in-place
+//     cancel) closes it only after placed has validated that copy;
+//   - a landing window, from just before a placement's landing CAS at
+//     distance > 0 until placed has validated the landing.
+//
+// The invariant (DESIGN.md § The displacing table): while the count is
+// zero, every physical copy is reachable by a probe scan from its home.
+// So displaceRemove, whose validated scan read no copy, may skip the
+// full-table ghost sweep when it reads zero between its two collects.
+// The count reads zero at every crash-free quiescent point; after a
+// crash inside a window it stays positive, and removes sweep as they
+// always did. It is history, so it lives outside the group words —
+// RawWords and RawDump never read it — on a cache line of its own.
+type ghostWindows struct {
+	_ [cacheLine]byte
+	n atomic.Int64
+	_ [cacheLine - 8]byte
+}
+
+func (gw *ghostWindows) open()  { gw.n.Add(1) }
+func (gw *ghostWindows) close() { gw.n.Add(-1) }
+
+// openLanding opens the landing window of a placement at distance
+// dist; a home-group landing (dist 0) is always reachable and needs
+// none.
+func (gw *ghostWindows) openLanding(dist int) {
+	if dist > 0 {
+		gw.open()
+	}
+}
+
+// closeLanding closes what openLanding opened.
+func (gw *ghostWindows) closeLanding(dist int) {
+	if dist > 0 {
+		gw.close()
+	}
+}
 
 // wstatus is the outcome of one protocol step.
 type wstatus int
@@ -281,7 +340,7 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 				// the caller releases the copy at exclude.
 				if st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(c)|slotMark, uint64(c))) {
 					stepAt(SpEvictSwap)
-					return wsDone, dist
+					return s.placedUnmarked(st, c, dist, chain), dist
 				}
 				histats.Inc(histats.CtrHashCASFail)
 				continue
@@ -307,17 +366,25 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 			if m := wordMaxUnmarked(view); room && view != w || !room && m != 0 && c < m {
 				if st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(c)|slotMark, uint64(c))) {
 					stepAt(SpEvictSwap)
-					return wsDone, dist
+					if view == w {
+						// c's mark was already gone (a helper finished
+						// the relocation): the CAS changed nothing, so no
+						// mark was cleared and no window closes.
+						return wsDone, dist
+					}
+					return s.placedUnmarked(st, c, dist, chain), dist
 				}
 				histats.Inc(histats.CtrHashCASFail)
 				continue
 			}
 		}
 		if wordZeros(w) > 0 {
+			s.ghost.openLanding(dist)
 			if st.groups[g].CompareAndSwap(w, wordAdd(w, uint64(c))) {
 				stepAt(SpDestWritten)
-				return s.placed(st, c, dist, chain), dist
+				return s.placedLanding(st, c, dist, chain), dist
 			}
+			s.ghost.closeLanding(dist)
 			histats.Inc(histats.CtrHashCASFail)
 			continue
 		}
@@ -325,10 +392,12 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 			// A flagged hole is free for placement; claiming it cancels
 			// that branch of the backward shift (the canonical layout
 			// gives the hole to c).
+			s.ghost.openLanding(dist)
 			if st.groups[g].CompareAndSwap(w, wordReplace(w, flagSlot, uint64(c))) {
 				stepAt(SpDestWritten)
-				return s.placed(st, c, dist, chain), dist
+				return s.placedLanding(st, c, dist, chain), dist
 			}
+			s.ghost.closeLanding(dist)
 			histats.Inc(histats.CtrHashCASFail)
 			continue
 		}
@@ -336,14 +405,16 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 			// Ordered Robin Hood eviction: mark the largest resident,
 			// place it further along its run, then swap the stale mark
 			// for c in one CAS on this word.
+			s.ghost.open()
 			if !st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(m), uint64(m)|slotMark)) {
+				s.ghost.close()
 				histats.Inc(histats.CtrHashCASFail)
 				continue
 			}
 			stepAt(SpMarkSet)
 			rs := s.finishEvict(st, c, m, g, chain)
 			if rs == wsDone {
-				return s.placed(st, c, dist, chain), dist
+				return s.placedUnmarked(st, c, dist, chain), dist
 			}
 			if rs == wsLost {
 				continue
@@ -378,33 +449,43 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 
 // finishEvict completes an eviction begun by placeKey: m is marked at
 // group g and must land beyond, after which the stale mark is swapped
-// for c in a single CAS. wsLost means a helper released the mark first
-// and c still needs a slot.
+// for c in a single CAS. Like relocateOut, it reads g before placing m
+// and swaps against exactly that word: a mark that a helper released
+// and another relocation re-set while m's walk ran then fails the CAS
+// (unless the whole word recurred), instead of being taken for this
+// eviction's — swapping it would drop m before the new relocation
+// landed. On wsDone the swap's ghost window is still open: the caller
+// validates c's landing and closes it (placedUnmarked). wsLost means a
+// helper released the mark first and c still needs a slot.
 func (s *Set) finishEvict(st *tableState, c, m, g int, chain *relocChain) wstatus {
 	link := relocChain{m, chain}
-	if rs, _ := s.placeKey(st, m, g, &link); rs != wsDone {
-		if rs == wsFull {
-			// Nowhere for m to land: cancel the eviction so the mark
-			// cannot dangle, then report full.
-			s.unmark(st, m, g)
-			return wsFull
-		}
-		return rs
-	}
 	for {
 		w := st.groups[g].Load()
 		if w == gone {
 			return wsRestart
 		}
-		if i := wordFind(w, m); i >= 0 && slotAt(w, i)&slotMark != 0 {
-			if st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(m)|slotMark, uint64(c))) {
-				stepAt(SpEvictSwap)
-				return wsDone
-			}
-			histats.Inc(histats.CtrHashCASFail)
+		if i := wordFind(w, m); i < 0 || slotAt(w, i)&slotMark == 0 {
+			return wsLost
+		}
+		rs, dist := s.placeKey(st, m, g, &link)
+		switch rs {
+		case wsDone:
+		case wsFull:
+			// Nowhere for m to land: cancel the eviction so the mark
+			// cannot dangle, then report full.
+			s.unmark(st, m, g, &link)
+			return wsFull
+		default:
+			return rs
+		}
+		if !landedAt(st, m, dist) {
 			continue
 		}
-		return wsLost
+		if st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(m)|slotMark, uint64(c))) {
+			stepAt(SpEvictSwap)
+			return wsDone
+		}
+		histats.Inc(histats.CtrHashCASFail)
 	}
 }
 
@@ -418,16 +499,19 @@ func (s *Set) finishEvict(st *tableState, c, m, g int, chain *relocChain) wstatu
 // backward shift is deciding concurrently — help it to completion so its
 // candidate scan cannot have missed the fresh placement. The loop ends
 // only on a pass that finds the key with no holes or flags before it.
+// The flagged groups of one pass are recorded in a fixed stack buffer
+// (a run with more than scanCap of them helps the first scanCap and
+// re-validates), so the repair loop allocates nothing.
 func (s *Set) placed(st *tableState, c, dist int, chain *relocChain) wstatus {
 	if dist == 0 {
 		// A key in its home group is always reachable.
 		return wsDone
 	}
 	G := len(st.groups)
+	var flagged [scanCap]int32
 	for {
 		g := GroupOf(c, G)
-		foundAt, cleanAt := -1, -1
-		var flagged []int
+		foundAt, cleanAt, nf := -1, -1, 0
 		for d := 0; d < G; d++ {
 			w := st.groups[g].Load()
 			if w == gone {
@@ -437,8 +521,9 @@ func (s *Set) placed(st *tableState, c, dist int, chain *relocChain) wstatus {
 				foundAt = g
 				break
 			}
-			if wordFlags(w) > 0 {
-				flagged = append(flagged, g)
+			if wordFlags(w) > 0 && nf < scanCap {
+				flagged[nf] = int32(g)
+				nf++
 			}
 			if wordClean(w) {
 				cleanAt = g
@@ -447,19 +532,20 @@ func (s *Set) placed(st *tableState, c, dist int, chain *relocChain) wstatus {
 			g = (g + 1) % G
 		}
 		switch {
-		case foundAt >= 0 && len(flagged) == 0:
+		case foundAt >= 0 && nf == 0:
 			return wsDone
 		case foundAt >= 0:
 			// A backward shift is pending before c: drive it so it sees
 			// c (or clears), then re-validate.
-			for _, f := range flagged {
-				if rs := s.restore(st, f, chain); rs != wsDone {
+			for _, f := range flagged[:nf] {
+				if rs := s.restore(st, int(f), chain); rs != wsDone {
 					return rs
 				}
 			}
 		case cleanAt >= 0:
 			// c stranded beyond a settled free group: pull it back
 			// ourselves via a marked relocation.
+			histats.Inc(histats.CtrGhostSweep)
 			at := s.findKey(st, c)
 			if at < 0 {
 				// A racing remove took c; nothing left to repair.
@@ -472,7 +558,9 @@ func (s *Set) placed(st *tableState, c, dist int, chain *relocChain) wstatus {
 			if i := wordFind(w, c); i < 0 || slotAt(w, i)&slotMark != 0 {
 				continue
 			}
+			s.ghost.open()
 			if !st.groups[at].CompareAndSwap(w, wordReplace(w, uint64(c), uint64(c)|slotMark)) {
+				s.ghost.close()
 				histats.Inc(histats.CtrHashCASFail)
 				continue
 			}
@@ -484,10 +572,38 @@ func (s *Set) placed(st *tableState, c, dist int, chain *relocChain) wstatus {
 	}
 }
 
-// findKey scans every group for c, returning its group or -1. The
-// broadcast is hoisted: the whole sweep is one load, one XOR-mask and
-// one zero-lane test per group. (gone cannot false-match: its lanes
-// carry the reserved key 0x7FFF, which no probe key equals.)
+// placedLanding validates a placement that landed c at distance dist
+// and then closes its landing window.
+func (s *Set) placedLanding(st *tableState, c, dist int, chain *relocChain) wstatus {
+	rs := s.placed(st, c, dist, chain)
+	s.ghost.closeLanding(dist)
+	return rs
+}
+
+// placedUnmarked validates c where a CAS that cleared a mark left it at
+// distance dist — an evict-swap that landed c in the evicted key's
+// slot, or an in-place cancel that un-marked c itself — and then closes
+// that mark's ghost window. While a key is marked, restore skips it as
+// a candidate, so a hole before it may have been cleared unfilled; the
+// un-marked copy must be shown reachable (or pulled back) before the
+// window closes.
+func (s *Set) placedUnmarked(st *tableState, c, dist int, chain *relocChain) wstatus {
+	rs := s.placed(st, c, dist, chain)
+	s.ghost.close()
+	return rs
+}
+
+// probeDist returns the distance of group g along key c's probe run.
+func probeDist(c, g, G int) int {
+	return (g - GroupOf(c, G) + G) % G
+}
+
+// findKey scans every group for c, returning its group or -1: the
+// O(table) ghost sweep, which both call sites count in
+// histats.CtrGhostSweep. The broadcast is hoisted: the whole sweep is
+// one load, one XOR-mask and one zero-lane test per group. (gone cannot
+// false-match: its lanes carry the reserved key 0x7FFF, which no probe
+// key equals.)
 func (s *Set) findKey(st *tableState, c int) int {
 	bcast := swarBroadcast(c)
 	for g := range st.groups {
@@ -498,9 +614,27 @@ func (s *Set) findKey(st *tableState, c int) int {
 	return -1
 }
 
+// landedAt reports whether m still sits unmarked where a walk that
+// moved it reported it: at distance dist along m's run. The walk's
+// caller (relocateOut, finishEvict) checks this just before it CASes
+// the source word it read before the walk, because m's copy can move
+// on meanwhile: pulled back into the source group by a restore and
+// re-marked there by the next relocation, the source word can recur
+// exactly, and the stale CAS would then destroy m's only copy. The
+// check reads the copy's group now, so a copy that moved (or was
+// marked again) sends the caller back to re-read its source.
+func landedAt(st *tableState, m, dist int) bool {
+	G := len(st.groups)
+	w := st.groups[(GroupOf(m, G)+dist)%G].Load()
+	// An unmarked lane holding m: the group may hold m's marked copy
+	// too (the relocation source itself), which must not hide it.
+	return swarKeyLanes(w, swarBroadcast(m))&^w != 0
+}
+
 // unmark restores a marked key in place (used to cancel an eviction that
-// found no destination).
-func (s *Set) unmark(st *tableState, m, g int) {
+// found no destination), then validates the un-marked copy and closes
+// the mark's ghost window (placedUnmarked).
+func (s *Set) unmark(st *tableState, m, g int, chain *relocChain) {
 	for {
 		w := st.groups[g].Load()
 		if w == gone {
@@ -515,6 +649,7 @@ func (s *Set) unmark(st *tableState, m, g int) {
 		// window for the E23 matrix to cover.
 		//hilint:allow steppoint (cancel CAS restores the pre-SpMarkSet word; no new crash window)
 		if st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(m)|slotMark, uint64(m))) {
+			s.placedUnmarked(st, m, probeDist(m, g, len(st.groups)), chain)
 			return
 		}
 	}
@@ -537,6 +672,9 @@ func (s *Set) relocateOut(st *tableState, m, j int, chain *relocChain) wstatus {
 			return wsDone
 		}
 		rs, dist := s.placeKey(st, m, j, &link)
+		if rs == wsDone && !landedAt(st, m, dist) {
+			continue
+		}
 		if rs != wsDone {
 			if rs == wsFull {
 				// No destination (table momentarily full): cancel by
@@ -545,13 +683,14 @@ func (s *Set) relocateOut(st *tableState, m, j int, chain *relocChain) wstatus {
 				// window the matrix does not already sweep.
 				//hilint:allow steppoint (cancel CAS restores the pre-SpMarkSet word; no new crash window)
 				if st.groups[j].CompareAndSwap(w, wordReplace(w, uint64(m)|slotMark, uint64(m))) {
-					return wsDone
+					return s.placedUnmarked(st, m, probeDist(m, j, len(st.groups)), &link)
 				}
 				continue
 			}
 			return rs
 		}
 		if st.groups[j].CompareAndSwap(w, wordReplace(w, uint64(m)|slotMark, flagSlot)) {
+			s.ghost.close()
 			stepAt(SpSourceCleared)
 			histats.Observe(histats.HistRelocDist, uint64(dist))
 			return s.restore(st, j, chain)
@@ -617,7 +756,9 @@ func (s *Set) restore(st *tableState, g int, chain *relocChain) wstatus {
 		if i := wordFind(wj, best); i < 0 || slotAt(wj, i)&slotMark != 0 {
 			continue
 		}
+		s.ghost.open()
 		if !st.groups[bestAt].CompareAndSwap(wj, wordReplace(wj, uint64(best), uint64(best)|slotMark)) {
+			s.ghost.close()
 			histats.Inc(histats.CtrHashCASFail)
 			continue
 		}
@@ -631,16 +772,19 @@ func (s *Set) restore(st *tableState, g int, chain *relocChain) wstatus {
 // scanCap is the record capacity of the fast-path probe scan: probe
 // runs stay far shorter than this in practice (an insert that walks
 // probeLimit groups already grows the table), so the common case
-// records into fixed stack buffers and the lookup fast path allocates
-// nothing. A pathological run longer than scanCap sets long instead —
-// the fast path then cannot validate and falls through to the slow
-// path, whose slice-based collect has no length cap.
+// records into fixed stack buffers and neither the lookup fast path
+// nor a remove allocates. A pathological run longer than scanCap sets
+// long instead — the lookup then cannot validate and falls through to
+// the slow path, and a remove rescans with scanRun; both slice-based
+// collects have no length cap.
 const scanCap = 32
 
 // probeScan is one fixed-buffer pass of a probe-run scan for key on the
-// lookup fast path: it reads along key's run until a clean group (or a
-// full cycle), recording every word read for validation. found reports
-// the key seen (marked counts — a marked key is logically present).
+// lookup fast path and the remove path: it reads along key's run until
+// a clean group (or a full cycle), recording every word read for
+// validation. found reports the key seen (marked counts — a marked key
+// is logically present); unless long is set, the last record is then
+// the group holding it.
 // The buffers are plain arrays indexed by n — never self-referential
 // slices, which would defeat escape analysis and put the record on the
 // heap (TestLookupAllocs pins this at zero).
@@ -711,8 +855,9 @@ func fastMatches(st *tableState, r *probeScan) bool {
 }
 
 // runScan is one slice-collecting pass of a probe-run scan for key,
-// used by the update and slow lookup paths (where a cold allocation is
-// fine and runs must have no length cap). found reports the key seen
+// used by the slow lookup path and by removes whose run outgrew a
+// probeScan (where a cold allocation is fine and runs must have no
+// length cap). found reports the key seen
 // (marked counts — a marked key is logically present);
 // foundAt/foundMarked locate it.
 type runScan struct {
@@ -796,55 +941,82 @@ func (s *Set) displaceInsert(key int) int {
 // validated double collect confirms absence on a stable table state —
 // removing one copy is not enough, because a migration drain (or a
 // relocation) racing the removal can have copied the key elsewhere; the
-// loop chases every copy until a clean pass finds none.
+// loop chases every copy until a clean pass finds none. The collect
+// records into a stack probeScan (the slice-based scanRun only serves a
+// run longer than scanCap), so a remove at quiescence allocates nothing.
 func (s *Set) displaceRemove(key int) int {
+	bcast := swarBroadcast(key)
+	var r probeScan
 	for {
 		st := s.current()
-		r := scanRun(st, key, false)
+		fastScan(st, key, bcast, false, &r)
 		if r.sawGone {
 			continue
 		}
-		if !r.found {
-			if at := s.findKey(st, key); at >= 0 {
-				// A physical copy beyond the validated probe run: the
-				// ghost of a relocation whose owner died after the
-				// destination copy was separately removed. Scans can
-				// never reach it, but a drain would faithfully migrate
-				// (resurrect) it — chase it like a found copy.
-				w := st.groups[at].Load()
-				i := wordFind(w, key)
-				if i < 0 {
-					continue
+		var long runScan
+		found, at, marked := r.found, -1, false
+		if r.long {
+			long = scanRun(st, key, false)
+			if long.sawGone {
+				continue
+			}
+			found, at, marked = long.found, long.foundAt, long.foundMarked
+		} else if found {
+			w := r.words[r.n-1]
+			at = int(r.groups[r.n-1])
+			marked = slotAt(w, swarFind(w, bcast))&slotMark != 0
+		}
+		if !found {
+			// The count is read between the two collects: if it is zero
+			// there, every physical copy was reachable from the key's
+			// home at that instant, so a validated scan that read none
+			// proves there was none (ghostWindows).
+			if s.ghost.n.Load() != 0 {
+				histats.Inc(histats.CtrGhostSweep)
+				if g := s.findKey(st, key); g >= 0 {
+					// A physical copy beyond the validated probe run: the
+					// ghost of a relocation whose owner died after the
+					// destination copy was separately removed. Scans can
+					// never reach it, but a drain would faithfully migrate
+					// (resurrect) it — chase it like a found copy.
+					w := st.groups[g].Load()
+					i := wordFind(w, key)
+					if i < 0 {
+						continue
+					}
+					found, at = true, g
+					marked = slotAt(w, i)&slotMark != 0
 				}
-				r.found, r.foundAt = true, at
-				r.foundMarked = slotAt(w, i)&slotMark != 0
-			} else if st.prev.Load() == nil && rescanMatches(st, r) && s.st.Load() == st {
+			}
+			if !found {
 				// Migration in flight would let the key hide in the old
 				// table; current drains it first, so once prev is gone a
 				// validated clean scan over a ghost-free table confirms
 				// absence.
-				return 0
-			} else {
+				valid := r.long && rescanMatches(st, long) || !r.long && fastMatches(st, &r)
+				if valid && st.prev.Load() == nil && s.st.Load() == st {
+					return 0
+				}
 				continue
 			}
 		}
-		if r.foundMarked {
+		if marked {
 			// Resolve the in-flight relocation first: removing a copy
 			// while a marked twin survives could resurrect the key.
 			histats.Inc(histats.CtrHelpRelocate)
-			s.relocateOut(st, key, r.foundAt, nil)
+			s.relocateOut(st, key, at, nil)
 			continue
 		}
-		w := st.groups[r.foundAt].Load()
+		w := st.groups[at].Load()
 		if w == gone {
 			continue
 		}
 		if i := wordFind(w, key); i < 0 || slotAt(w, i)&slotMark != 0 {
 			continue
 		}
-		if st.groups[r.foundAt].CompareAndSwap(w, wordReplace(w, uint64(key), flagSlot)) {
+		if st.groups[at].CompareAndSwap(w, wordReplace(w, uint64(key), flagSlot)) {
 			stepAt(SpFlagPlaced)
-			s.restore(st, r.foundAt, nil)
+			s.restore(st, at, nil)
 		} else {
 			histats.Inc(histats.CtrHashCASFail)
 		}

@@ -147,8 +147,9 @@ func (s *Set) drainAll(p *tableState, cur *tableState) {
 // drainGroup moves every key of old group g into the current table and
 // stamps the group gone. Restore flags are dropped (the old layout no
 // longer needs repairing) and marked keys are moved like plain ones (the
-// migration supersedes their old-array relocation; placement in the new
-// table is idempotent, so racing helpers are harmless).
+// migration supersedes their old-array relocation, closing its ghost
+// window; placement in the new table is idempotent, so racing helpers
+// are harmless).
 func (s *Set) drainGroup(p *tableState, g int, cur *tableState) {
 	for {
 		w := p.groups[g].Load()
@@ -187,6 +188,11 @@ func (s *Set) drainGroup(p *tableState, g int, cur *tableState) {
 		}
 		stepAt(SpDrainCopied)
 		if p.groups[g].CompareAndSwap(w, wordReplace(w, sl, 0)) {
+			if sl&slotMark != 0 {
+				// The migration superseded a relocation: its mark is
+				// gone, and so is its ghost window.
+				s.ghost.close()
+			}
 			stepAt(SpDrainDropped)
 		}
 	}

@@ -771,7 +771,12 @@ func (t *simTable) restore(lv, g int, chain *relocChain) simStatus {
 }
 
 // remove deletes key, flagging the hole and running the backward shift
-// (skipped under the DisplaceNoShift ablation).
+// (skipped under the DisplaceNoShift ablation). It models the native
+// remove's count-0 path: a validated scan that reads no copy answers
+// absent. The native full-table ghost sweep, taken only while a ghost
+// window is open (displace.go, ghostWindows), chases copies that a
+// crashed relocation orphaned; the sim has no crashes and has never
+// had the sweep.
 func (t *simTable) remove(key int) int {
 	for {
 		lv := t.level()

@@ -14,8 +14,8 @@ import (
 // against live table traffic.
 // Sites that loaded an old pointer finish against the old observer, so
 // churning both while four goroutines insert, remove, look up and grow
-// must be race-clean (this test exists for -race) and must never lose
-// table operations.
+// must be race-clean (this test exists for -race), must never lose
+// table operations, and must leave no ghost window open.
 func TestHookChurnUnderTraffic(t *testing.T) {
 	const (
 		workers = 4
@@ -71,6 +71,9 @@ func TestHookChurnUnderTraffic(t *testing.T) {
 		if !s.Contains(k) {
 			t.Fatalf("key %d lost after hook churn", k)
 		}
+	}
+	if n := s.GhostWindows(); n != 0 {
+		t.Fatalf("%d ghost windows open at crash-free quiescence, want 0", n)
 	}
 	// Sanity-check the wiring with the hook held installed: the racing
 	// windows above may all miss a step on a loaded single-core machine,

@@ -53,9 +53,9 @@ func (ms *modelSet) elems() []int {
 // goroutines with a mixed insert/remove/contains workload on disjoint
 // key ranges (so the final set is deterministic per goroutine), plus
 // forced concurrent resizes, and checks the final Snapshot against the
-// canonical displaced layout of a mutex-guarded model. Run it with
-// -race: the relocation protocol's marks, helping and migration all get
-// exercised.
+// canonical displaced layout of a mutex-guarded model, and that no
+// ghost window is left open. Run it with -race: the relocation
+// protocol's marks, helping and migration all get exercised.
 func TestStressDisplaceSetRandomized(t *testing.T) {
 	const n = 8
 	perProc := 400
@@ -104,13 +104,16 @@ func TestStressDisplaceSetRandomized(t *testing.T) {
 	if snap, canon := s.Snapshot(), hihash.CanonicalSetSnapshot(domain, s.NumGroups(), want); snap != canon {
 		t.Fatalf("memory not canonical at quiescence (groups=%d):\n got:  %s\n want: %s", s.NumGroups(), snap, canon)
 	}
+	if n := s.GhostWindows(); n != 0 {
+		t.Fatalf("%d ghost windows open at crash-free quiescence, want 0", n)
+	}
 }
 
 // TestStressDisplaceSetSharedKeys drives fully shared hot keys (no
 // disjoint ranges, so inserts and removes of the same key race) and
 // checks only the invariants that survive nondeterminism: Snapshot is
-// the canonical layout of whatever key set landed, and no key is
-// duplicated or stranded.
+// the canonical layout of whatever key set landed, no key is
+// duplicated or stranded, and no ghost window is left open.
 func TestStressDisplaceSetSharedKeys(t *testing.T) {
 	const n, domain = 8, 48
 	iters := 4000
@@ -149,6 +152,9 @@ func TestStressDisplaceSetSharedKeys(t *testing.T) {
 		if !s.Contains(k) {
 			t.Fatalf("Contains(%d) = false for a member", k)
 		}
+	}
+	if n := s.GhostWindows(); n != 0 {
+		t.Fatalf("%d ghost windows open at crash-free quiescence, want 0", n)
 	}
 }
 

@@ -69,6 +69,9 @@ type Set struct {
 	domain    int
 	displaced bool
 	st        atomic.Pointer[tableState]
+	// ghost counts the displacing protocol's open ghost windows
+	// (displace.go). It is not part of the memory representation.
+	ghost ghostWindows
 }
 
 var _ conc.Applier = (*Set)(nil)

@@ -1,9 +1,10 @@
-// Package escape is the static escape-audit gate of the read path: it
-// parses the compiler's own escape analysis (`go build -gcflags=-m=2`)
-// and asserts that a declared list of hot-path functions — the
-// TestLookupAllocs surface and the probeScan/runScan split — compiles
-// with zero heap escapes. TestLookupAllocs measures the paths a run
-// happens to execute; this gate reads what the compiler proved about
+// Package escape is the static escape-audit gate of the read and
+// update paths: it parses the compiler's own escape analysis
+// (`go build -gcflags=-m=2`) and asserts that a declared list of
+// hot-path functions — the TestLookupAllocs and TestUpdateAllocs
+// surfaces and the probeScan/runScan split — compiles with zero heap
+// escapes. The alloc guards measure the paths a run happens to
+// execute; this gate reads what the compiler proved about
 // every path, and fails with the compiler's own escape trace when a
 // refactor (the ROADMAP key-width work will churn exactly these
 // functions) reintroduces one — the PR 9 regression, where a
@@ -37,10 +38,11 @@ type Hot struct {
 	Funcs []string // "Recv.Name" for methods, "Name" for functions
 }
 
-// HotPaths is the declared hot-path list: every lookup surface
-// TestLookupAllocs pins at zero allocations, plus the fixed-buffer half
-// of the probeScan/runScan split. internal/hihash's alloc guard imports
-// this list and fails if the two drift apart.
+// HotPaths is the declared hot-path list: every lookup and update
+// surface TestLookupAllocs and TestUpdateAllocs pin at zero
+// allocations, plus the fixed-buffer half of the probeScan/runScan
+// split. internal/hihash's alloc guard imports this list and fails if
+// the two drift apart.
 func HotPaths() []Hot {
 	return []Hot{{
 		Pkg: "./internal/hihash",
@@ -53,6 +55,12 @@ func HotPaths() []Hot {
 			"lookupKV",
 			"kvsOf",
 			"Set.findKey",
+			"Set.Insert",
+			"Set.Remove",
+			"Set.displaceInsert",
+			"Set.displaceRemove",
+			"Set.placeKey",
+			"Set.placed",
 		},
 	}}
 }

@@ -53,13 +53,14 @@ const (
 	CtrDrainDropped
 	CtrGonePlaced
 
-	// hihash retry behaviour. All four are cold-path sites: their
+	// hihash retry behaviour. All five are cold-path sites: their
 	// disabled nil-check only executes when the contention they count
 	// actually happened, so a quiet table pays nothing for them.
 	CtrHashCASFail  // a CAS on a group word lost its race (one retry loop turn)
 	CtrLookupRetry  // a validated double collect had to restart
 	CtrHelpRelocate // a relocation completed on behalf of another operation
 	CtrLookupHelp   // a lookup fell back to helping: it burned its retry budget, or missed mid-resize
+	CtrGhostSweep   // a full-table scan for a stray copy: a remove while a ghost window was open, or a stranded-key pull-back
 
 	// API-layer operation counts (obj.HashSet — the table itself keeps
 	// its single-load lookups instrumentation-free; see DESIGN.md).
@@ -103,6 +104,7 @@ var counterNames = [NumCounters]string{
 	CtrLookupRetry:   "lookup-retry",
 	CtrHelpRelocate:  "help-relocate",
 	CtrLookupHelp:    "lookup-help",
+	CtrGhostSweep:    "ghost-sweep",
 	CtrMapUpdate:     "map-update",
 	CtrMapCASFail:    "map-cas-fail",
 	CtrMapGrow:       "map-grow",

@@ -15,22 +15,23 @@ package hook
 import "sync/atomic"
 
 // Point is one global observer slot for observers of type T. The zero
-// Point is empty and ready to use.
+// Point is empty and ready to use. Its Load (promoted from the embedded
+// atomic.Pointer) returns the installed observer, nil when the point is
+// empty: the load every instrumented site's fast path pays. Embedding,
+// rather than wrapping Load in a method of its own, keeps a site of the
+// form `if r := p.Load(); r != nil { r.observe(...) }` within the
+// compiler's inlining budget, so a disabled site costs no call.
 type Point[T any] struct {
-	p atomic.Pointer[T]
+	atomic.Pointer[T]
 }
 
 // Install makes v the observer and returns the previous one (nil if the
 // point was empty). Installing nil is equivalent to Uninstall.
-func (pt *Point[T]) Install(v *T) (old *T) { return pt.p.Swap(v) }
+func (pt *Point[T]) Install(v *T) (old *T) { return pt.Swap(v) }
 
 // Uninstall empties the point and returns the observer that was
 // installed (nil if none), so callers can still drain what it gathered.
-func (pt *Point[T]) Uninstall() (old *T) { return pt.p.Swap(nil) }
-
-// Load returns the installed observer, nil when the point is empty.
-// This is the load every instrumented site's fast path pays.
-func (pt *Point[T]) Load() *T { return pt.p.Load() }
+func (pt *Point[T]) Uninstall() (old *T) { return pt.Swap(nil) }
 
 // Enabled reports whether an observer is installed.
-func (pt *Point[T]) Enabled() bool { return pt.p.Load() != nil }
+func (pt *Point[T]) Enabled() bool { return pt.Load() != nil }
