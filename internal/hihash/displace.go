@@ -993,7 +993,7 @@ func (s *Set) displaceRemove(key int) int {
 				// table; current drains it first, so once prev is gone a
 				// validated clean scan over a ghost-free table confirms
 				// absence.
-				valid := r.long && rescanMatches(st, long) || !r.long && fastMatches(st, &r)
+				valid := fastMatches(st, &r) || r.long && rescanMatches(st, long)
 				if valid && st.prev.Load() == nil && s.st.Load() == st {
 					return 0
 				}
