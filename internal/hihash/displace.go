@@ -74,7 +74,9 @@ const cacheLine = 64
 //     clears the mark — a release into a restore flag or the drain's
 //     drop of the marked slot close it at once; a CAS that clears the
 //     mark and leaves a key where it sits (evict-swap, an in-place
-//     cancel) closes it only after placed has validated that copy;
+//     cancel) closes it only after placed has validated that copy and,
+//     if the CAS left the group clean, fill has pulled back every key
+//     that crossed it (placedUnmarked);
 //   - a landing window, from just before a placement's landing CAS at
 //     distance > 0 until placed has validated the landing.
 //
@@ -125,6 +127,8 @@ const (
 	// state.
 	wsRestart
 	// wsLost: a helper completed the step first; re-examine the group.
+	// From placeKey: the slot the walk moves left its group first
+	// (walkSrc), and nothing was placed.
 	wsLost
 )
 
@@ -299,14 +303,45 @@ func helpableMark(w uint64, c int, chain *relocChain) int {
 	return 0
 }
 
+// walkSrc is the slot a placement walk moves: a relocation's marked
+// source in the walk's own array, or an old-array slot a migration
+// drain copies. The walk's landing is wanted only while that slot still
+// sits in its group. A helper that read the source and was preempted
+// may resume after another helper finished the move and the owner's
+// Remove took the key; landing then would bring the removed key back.
+// An Insert's walk has no source (nil).
+type walkSrc struct {
+	st *tableState
+	g  int
+	sl uint64
+}
+
+// left reports whether the walk's source slot is gone from its group:
+// the move was completed or superseded without this walk. Checked just
+// before every CAS that would place the walk's key, so a stale walk
+// stands down instead of adding a copy.
+func (src *walkSrc) left() bool {
+	if src == nil {
+		return false
+	}
+	w := src.st.groups[src.g].Load()
+	y := w ^ src.sl*swarLanes
+	return w == gone || swarZeroLanes(y&swarLow)&^y == 0
+}
+
 // placeKey walks key c's probe run in st and ensures c is present,
-// evicting larger residents in ordered Robin Hood priority as needed. A
-// marked copy of c at group exclude (the stale source of a relocation
-// being completed) is treated as invisible and never re-placed there,
-// and the marks of chain — the relocations this goroutine is already
-// completing — are never helped. It returns the walk distance of the
-// decisive group.
-func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstatus, int) {
+// evicting larger residents in ordered Robin Hood priority as needed.
+// src is the slot the walk moves (nil for an Insert). When src is a
+// relocation's source in st, c's marked copy there is treated as
+// invisible and never re-placed, and the marks of chain — the
+// relocations this goroutine is already completing — are never helped.
+// It returns the walk distance of the decisive group; wsLost means src
+// left its group first and the walk placed nothing.
+func (s *Set) placeKey(st *tableState, c int, src *walkSrc, chain *relocChain) (wstatus, int) {
+	exclude := -1
+	if src != nil && src.st == st {
+		exclude = src.g
+	}
 	G := len(st.groups)
 	g := GroupOf(c, G)
 	for dist := 0; dist < G; {
@@ -330,17 +365,27 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 			if slotAt(view, i)&slotMark == 0 {
 				return wsDone, dist
 			}
-			if exclude >= 0 {
+			if exclude >= 0 && dist > probeDist(c, exclude, G) {
 				// This walk is already completing a relocation of c out
-				// of exclude, yet c has a second marked copy here — an
-				// abandoned relocation (a crashed or long-parked thread)
-				// whose source a later insert refilled. Helping it would
-				// recurse into helping ourselves forever; cancel it in
-				// place instead — the twin becomes c's landed copy and
-				// the caller releases the copy at exclude.
-				if st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(c)|slotMark, uint64(c))) {
+				// of exclude, yet c has a second marked copy here,
+				// further along c's run: a second relocation of c, whose
+				// source may be this walk's own landed copy or a slot a
+				// later insert refilled after its owner stalled. Helping
+				// it would recurse into helping ourselves forever; cancel
+				// it in place instead — the twin becomes c's landed copy
+				// and the caller releases the copy at exclude. Only the
+				// walk whose source is nearer c's home cancels: if both
+				// walks cancelled each other's mark, neither source
+				// would be released and c would keep two copies. A twin
+				// nearer than exclude is helped below, and its walk
+				// cancels this one's mark.
+				nw := wordReplace(w, uint64(c)|slotMark, uint64(c))
+				if src.left() {
+					return wsLost, dist
+				}
+				if st.groups[g].CompareAndSwap(w, nw) {
 					stepAt(SpEvictSwap)
-					return s.placedUnmarked(st, c, dist, chain), dist
+					return s.placedUnmarked(st, c, g, chain), dist
 				}
 				histats.Inc(histats.CtrHashCASFail)
 				continue
@@ -354,6 +399,11 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 			continue
 		}
 		if g == exclude {
+			if view == w {
+				// c's mark is gone from its source (src left, read in
+				// the very word a landing here would CAS).
+				return wsLost, dist
+			}
 			// Back at c's own marked source, c stays — the relocation is
 			// cancelled in place, which is the placement — when the
 			// group has room for c (a second, unmarked c beside the mark
@@ -363,24 +413,27 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 			// an unmarked resident (the relocation is obsolete: a larger
 			// key claimed a freed slot while the mark was parked).
 			room := wordZeros(w) > 0 || wordFlags(w) > 0
-			if m := wordMaxUnmarked(view); room && view != w || !room && m != 0 && c < m {
+			if m := wordMaxUnmarked(view); room || m != 0 && c < m {
 				if st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(c)|slotMark, uint64(c))) {
 					stepAt(SpEvictSwap)
-					if view == w {
-						// c's mark was already gone (a helper finished
-						// the relocation): the CAS changed nothing, so no
-						// mark was cleared and no window closes.
-						return wsDone, dist
-					}
-					return s.placedUnmarked(st, c, dist, chain), dist
+					return s.placedUnmarked(st, c, g, chain), dist
 				}
 				histats.Inc(histats.CtrHashCASFail)
 				continue
 			}
 		}
 		if wordZeros(w) > 0 {
+			// The source check goes last before the CAS: a walk
+			// preempted after it can still land a stale copy if the
+			// word it read recurs meanwhile, so the gap is kept to one
+			// load.
+			nw := wordAdd(w, uint64(c))
 			s.ghost.openLanding(dist)
-			if st.groups[g].CompareAndSwap(w, wordAdd(w, uint64(c))) {
+			if src.left() {
+				s.ghost.closeLanding(dist)
+				return wsLost, dist
+			}
+			if st.groups[g].CompareAndSwap(w, nw) {
 				stepAt(SpDestWritten)
 				return s.placedLanding(st, c, dist, chain), dist
 			}
@@ -392,8 +445,13 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 			// A flagged hole is free for placement; claiming it cancels
 			// that branch of the backward shift (the canonical layout
 			// gives the hole to c).
+			nw := wordReplace(w, flagSlot, uint64(c))
 			s.ghost.openLanding(dist)
-			if st.groups[g].CompareAndSwap(w, wordReplace(w, flagSlot, uint64(c))) {
+			if src.left() {
+				s.ghost.closeLanding(dist)
+				return wsLost, dist
+			}
+			if st.groups[g].CompareAndSwap(w, nw) {
 				stepAt(SpDestWritten)
 				return s.placedLanding(st, c, dist, chain), dist
 			}
@@ -405,6 +463,9 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 			// Ordered Robin Hood eviction: mark the largest resident,
 			// place it further along its run, then swap the stale mark
 			// for c in one CAS on this word.
+			if src.left() {
+				return wsLost, dist
+			}
 			s.ghost.open()
 			if !st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(m), uint64(m)|slotMark)) {
 				s.ghost.close()
@@ -412,9 +473,9 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 				continue
 			}
 			stepAt(SpMarkSet)
-			rs := s.finishEvict(st, c, m, g, chain)
+			rs := s.finishEvict(st, c, m, g, src, chain)
 			if rs == wsDone {
-				return s.placedUnmarked(st, c, dist, chain), dist
+				return s.placedUnmarked(st, c, g, chain), dist
 			}
 			if rs == wsLost {
 				continue
@@ -456,9 +517,12 @@ func (s *Set) placeKey(st *tableState, c, exclude int, chain *relocChain) (wstat
 // eviction's — swapping it would drop m before the new relocation
 // landed. On wsDone the swap's ghost window is still open: the caller
 // validates c's landing and closes it (placedUnmarked). wsLost means a
-// helper released the mark first and c still needs a slot.
-func (s *Set) finishEvict(st *tableState, c, m, g int, chain *relocChain) wstatus {
+// helper released the mark first and c still needs a slot — or that
+// c's own walk went stale (src left) while m moved, in which case m's
+// relocation is completed instead and the caller's walk stands down.
+func (s *Set) finishEvict(st *tableState, c, m, g int, src *walkSrc, chain *relocChain) wstatus {
 	link := relocChain{m, chain}
+	msrc := walkSrc{st, g, uint64(m) | slotMark}
 	for {
 		w := st.groups[g].Load()
 		if w == gone {
@@ -467,7 +531,7 @@ func (s *Set) finishEvict(st *tableState, c, m, g int, chain *relocChain) wstatu
 		if i := wordFind(w, m); i < 0 || slotAt(w, i)&slotMark == 0 {
 			return wsLost
 		}
-		rs, dist := s.placeKey(st, m, g, &link)
+		rs, dist := s.placeKey(st, m, &msrc, &link)
 		switch rs {
 		case wsDone:
 		case wsFull:
@@ -481,7 +545,15 @@ func (s *Set) finishEvict(st *tableState, c, m, g int, chain *relocChain) wstatu
 		if !landedAt(st, m, dist) {
 			continue
 		}
-		if st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(m)|slotMark, uint64(c))) {
+		nw := wordReplace(w, uint64(m)|slotMark, uint64(c))
+		if src.left() {
+			// m has landed; release its mark like any relocation.
+			if rs := s.relocateOut(st, m, g, chain); rs != wsDone {
+				return rs
+			}
+			return wsLost
+		}
+		if st.groups[g].CompareAndSwap(w, nw) {
 			stepAt(SpEvictSwap)
 			return wsDone
 		}
@@ -580,17 +652,46 @@ func (s *Set) placedLanding(st *tableState, c, dist int, chain *relocChain) wsta
 	return rs
 }
 
-// placedUnmarked validates c where a CAS that cleared a mark left it at
-// distance dist — an evict-swap that landed c in the evicted key's
-// slot, or an in-place cancel that un-marked c itself — and then closes
-// that mark's ghost window. While a key is marked, restore skips it as
-// a candidate, so a hole before it may have been cleared unfilled; the
-// un-marked copy must be shown reachable (or pulled back) before the
-// window closes.
-func (s *Set) placedUnmarked(st *tableState, c, dist int, chain *relocChain) wstatus {
-	rs := s.placed(st, c, dist, chain)
+// placedUnmarked repairs what a CAS that cleared a mark in group g
+// without releasing it left behind — an evict-swap that landed c in the
+// evicted key's slot, or an in-place cancel that un-marked c itself —
+// and then closes that mark's ghost window. While a key is marked,
+// restore skips it as a candidate and its group cannot read clean, so
+// two repairs are due before the window may close: c may sit beyond a
+// hole a restore cleared while it was marked (placed pulls it back),
+// and g may have gained a free slot while the mark was parked, so that
+// the CAS left it clean with a key beyond it that crossed it meanwhile
+// (fill pulls that key back).
+func (s *Set) placedUnmarked(st *tableState, c, g int, chain *relocChain) wstatus {
+	rs := s.placed(st, c, probeDist(c, g, len(st.groups)), chain)
+	if rs == wsDone {
+		rs = s.fill(st, g, chain)
+	}
 	s.ghost.close()
 	return rs
+}
+
+// fill is restore for a group that a cleared mark left clean instead of
+// flagged: while g reads clean, pull back the smallest key beyond it
+// whose probe run crossed it. Once g is full again, or flagged or
+// marked, the flag's restore or the mark's clearing takes over.
+func (s *Set) fill(st *tableState, g int, chain *relocChain) wstatus {
+	for {
+		w := st.groups[g].Load()
+		if w == gone {
+			return wsRestart
+		}
+		if !wordClean(w) {
+			return wsDone
+		}
+		best, bestAt := crossing(st, g)
+		if best == 0 {
+			return wsDone
+		}
+		if rs := s.pullBack(st, best, bestAt, chain); rs != wsDone && rs != wsLost {
+			return rs
+		}
+	}
 }
 
 // probeDist returns the distance of group g along key c's probe run.
@@ -649,7 +750,7 @@ func (s *Set) unmark(st *tableState, m, g int, chain *relocChain) {
 		// window for the E23 matrix to cover.
 		//hilint:allow steppoint (cancel CAS restores the pre-SpMarkSet word; no new crash window)
 		if st.groups[g].CompareAndSwap(w, wordReplace(w, uint64(m)|slotMark, uint64(m))) {
-			s.placedUnmarked(st, m, probeDist(m, g, len(st.groups)), chain)
+			s.placedUnmarked(st, m, g, chain)
 			return
 		}
 	}
@@ -662,6 +763,7 @@ func (s *Set) unmark(st *tableState, m, g int, chain *relocChain) {
 // others observe the mark gone and stand down.
 func (s *Set) relocateOut(st *tableState, m, j int, chain *relocChain) wstatus {
 	link := relocChain{m, chain}
+	src := walkSrc{st, j, uint64(m) | slotMark}
 	for {
 		w := st.groups[j].Load()
 		if w == gone {
@@ -671,8 +773,8 @@ func (s *Set) relocateOut(st *tableState, m, j int, chain *relocChain) wstatus {
 		if i < 0 || slotAt(w, i)&slotMark == 0 {
 			return wsDone
 		}
-		rs, dist := s.placeKey(st, m, j, &link)
-		if rs == wsDone && !landedAt(st, m, dist) {
+		rs, dist := s.placeKey(st, m, &src, &link)
+		if rs == wsLost || rs == wsDone && !landedAt(st, m, dist) {
 			continue
 		}
 		if rs != wsDone {
@@ -683,7 +785,7 @@ func (s *Set) relocateOut(st *tableState, m, j int, chain *relocChain) wstatus {
 				// window the matrix does not already sweep.
 				//hilint:allow steppoint (cancel CAS restores the pre-SpMarkSet word; no new crash window)
 				if st.groups[j].CompareAndSwap(w, wordReplace(w, uint64(m)|slotMark, uint64(m))) {
-					return s.placedUnmarked(st, m, probeDist(m, j, len(st.groups)), &link)
+					return s.placedUnmarked(st, m, j, &link)
 				}
 				continue
 			}
@@ -701,11 +803,9 @@ func (s *Set) relocateOut(st *tableState, m, j int, chain *relocChain) wstatus {
 
 // restore runs the backward shift for a restore flag at group g: find
 // the smallest key beyond g whose probe run crossed g, pull it back into
-// the hole (via a marked relocation whose walk lands exactly there), and
-// cascade. If no key crossed the hole the flag is simply cleared — the
-// layout was already canonical.
+// the hole, and cascade. If no key crossed the hole the flag is simply
+// cleared — the layout was already canonical.
 func (s *Set) restore(st *tableState, g int, chain *relocChain) wstatus {
-	G := len(st.groups)
 	for {
 		w := st.groups[g].Load()
 		if w == gone {
@@ -714,30 +814,7 @@ func (s *Set) restore(st *tableState, g int, chain *relocChain) wstatus {
 		if wordFlags(w) == 0 {
 			return wsDone
 		}
-		best, bestAt := 0, -1
-		j := (g + 1) % G
-		for dist := 1; dist < G; dist++ {
-			wj := st.groups[j].Load()
-			if wj == gone {
-				// The table is being drained under us; migration
-				// supersedes restoration.
-				break
-			}
-			for i := 0; i < SlotsPerGroup; i++ {
-				sl := slotAt(wj, i)
-				if sl == 0 || sl == flagSlot || sl&slotMark != 0 {
-					continue
-				}
-				c := int(sl)
-				if probeCrosses(c, j, g, G) && (best == 0 || c < best) {
-					best, bestAt = c, j
-				}
-			}
-			if wordClean(wj) {
-				break
-			}
-			j = (j + 1) % G
-		}
+		best, bestAt := crossing(st, g)
 		if best == 0 {
 			if st.groups[g].CompareAndSwap(w, wordReplace(w, flagSlot, 0)) {
 				stepAt(SpFlagCleared)
@@ -746,27 +823,65 @@ func (s *Set) restore(st *tableState, g int, chain *relocChain) wstatus {
 			histats.Inc(histats.CtrHashCASFail)
 			continue
 		}
-		// Pull best back: mark it, and complete the relocation — its
-		// placement walk starts at its home group, so it lands in the
-		// flagged hole here (or an even earlier one), then cascades.
-		wj := st.groups[bestAt].Load()
-		if wj == gone {
-			continue
-		}
-		if i := wordFind(wj, best); i < 0 || slotAt(wj, i)&slotMark != 0 {
-			continue
-		}
-		s.ghost.open()
-		if !st.groups[bestAt].CompareAndSwap(wj, wordReplace(wj, uint64(best), uint64(best)|slotMark)) {
-			s.ghost.close()
-			histats.Inc(histats.CtrHashCASFail)
-			continue
-		}
-		stepAt(SpMarkSet)
-		if rs := s.relocateOut(st, best, bestAt, chain); rs != wsDone {
+		if rs := s.pullBack(st, best, bestAt, chain); rs != wsDone && rs != wsLost {
 			return rs
 		}
 	}
+}
+
+// crossing is the candidate scan of restore and fill: the smallest
+// unmarked key beyond group g, up to the next clean group, whose probe
+// run crossed g, and the group holding it — or best 0.
+func crossing(st *tableState, g int) (best, bestAt int) {
+	G := len(st.groups)
+	bestAt = -1
+	j := (g + 1) % G
+	for dist := 1; dist < G; dist++ {
+		wj := st.groups[j].Load()
+		if wj == gone {
+			// The table is being drained under us; migration
+			// supersedes restoration.
+			break
+		}
+		for i := 0; i < SlotsPerGroup; i++ {
+			sl := slotAt(wj, i)
+			if sl == 0 || sl == flagSlot || sl&slotMark != 0 {
+				continue
+			}
+			c := int(sl)
+			if probeCrosses(c, j, g, G) && (best == 0 || c < best) {
+				best, bestAt = c, j
+			}
+		}
+		if wordClean(wj) {
+			break
+		}
+		j = (j + 1) % G
+	}
+	return best, bestAt
+}
+
+// pullBack marks best, a candidate crossing found at group at, and
+// completes its relocation: the placement walk starts at best's home,
+// so it lands in the hole best crossed (or an even earlier one), and
+// the release cascades. wsLost means best moved or was marked since
+// the scan; the caller re-scans.
+func (s *Set) pullBack(st *tableState, best, at int, chain *relocChain) wstatus {
+	w := st.groups[at].Load()
+	if w == gone {
+		return wsLost
+	}
+	if i := wordFind(w, best); i < 0 || slotAt(w, i)&slotMark != 0 {
+		return wsLost
+	}
+	s.ghost.open()
+	if !st.groups[at].CompareAndSwap(w, wordReplace(w, uint64(best), uint64(best)|slotMark)) {
+		s.ghost.close()
+		histats.Inc(histats.CtrHashCASFail)
+		return wsLost
+	}
+	stepAt(SpMarkSet)
+	return s.relocateOut(st, best, at, chain)
 }
 
 // scanCap is the record capacity of the fast-path probe scan: probe
@@ -920,7 +1035,7 @@ func rescanMatches(st *tableState, r runScan) bool {
 func (s *Set) displaceInsert(key int) int {
 	for {
 		st := s.current()
-		rs, dist := s.placeKey(st, key, -1, nil)
+		rs, dist := s.placeKey(st, key, nil, nil)
 		switch rs {
 		case wsDone:
 			histats.Observe(histats.HistProbeLen, uint64(dist))

@@ -177,10 +177,12 @@ func (s *Set) drainGroup(p *tableState, g int, cur *tableState) {
 		key := int(sl & slotKey)
 		// Destination first: the key must live in the new table before
 		// its old copy disappears.
-		if rs, _ := s.placeKey(cur, key, -1, nil); rs != wsDone {
+		src := walkSrc{p, g, sl}
+		if rs, _ := s.placeKey(cur, key, &src, nil); rs != wsDone {
 			// wsFull cannot normally happen (the new array is twice the
-			// old), and wsRestart means cur itself was resized — reload
-			// and retry via the caller's loop.
+			// old), wsLost means another drainer moved the key first,
+			// and wsRestart means cur itself was resized — reload and
+			// retry via the caller's loop.
 			if rs == wsRestart {
 				cur = s.st.Load()
 			}

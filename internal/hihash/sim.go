@@ -411,7 +411,7 @@ func (t *simTable) insert(key int) int {
 		if lv == 1 {
 			t.drainGroup(GroupOf(key, t.p.G))
 		}
-		switch st, _ := t.placeKey(lv, key, -1, nil); st {
+		switch st, _ := t.placeKey(lv, key, nil, nil); st {
 		case simDone:
 			return 0
 		case simFullStatus:
@@ -455,9 +455,37 @@ func (t *simTable) confirmFull(lv, key int) (full, ok bool) {
 	return len(keys) >= G*t.p.B, true
 }
 
+// simSrc mirrors the native walkSrc: the slot a placement walk moves,
+// at a level and group.
+type simSrc struct {
+	lv, g int
+	slot  simSlot
+}
+
+// left mirrors the native walkSrc.left: one read of the source group.
+func (src *simSrc) left(t *simTable) bool {
+	if src == nil {
+		return false
+	}
+	_, slots, isGone := t.read(src.lv, src.g)
+	if isGone {
+		return true
+	}
+	for _, sl := range slots {
+		if sl == src.slot {
+			return false
+		}
+	}
+	return true
+}
+
 // placeKey is the simulated displacement walk: identical decisions to
 // the native Set.placeKey, one scheduler step per shared access.
-func (t *simTable) placeKey(lv, c, exclude int, chain *relocChain) (simStatus, int) {
+func (t *simTable) placeKey(lv, c int, src *simSrc, chain *relocChain) (simStatus, int) {
+	exclude := -1
+	if src != nil && src.lv == lv {
+		exclude = src.g
+	}
 	G := t.groupsAt(lv)
 	g := GroupOf(c, G)
 	for dist := 0; dist < G; {
@@ -477,30 +505,45 @@ func (t *simTable) placeKey(lv, c, exclude int, chain *relocChain) (simStatus, i
 			if !view[i].marked {
 				return simDone, dist
 			}
+			if exclude >= 0 && dist > probeDist(c, exclude, G) {
+				// A second marked copy of c further along c's run than
+				// exclude: cancel it in place, the twin becomes c's
+				// landed copy (the native twin cancel; a nearer twin is
+				// helped, and its walk cancels this one's mark).
+				if src.left(t) {
+					return simLost, dist
+				}
+				if t.cas(lv, g, s, unmarkSlot(slots, c)) {
+					return t.placedUnmarked(lv, c, g, chain), dist
+				}
+				continue
+			}
 			if st := t.relocateOut(lv, c, g, chain); st != simDone {
 				return st, dist
 			}
 			continue
 		}
 		if g == exclude {
+			if len(view) == len(slots) {
+				// c's mark is gone from its source: the relocation
+				// finished without this walk (the native stand-down).
+				return simLost, dist
+			}
 			// Back at c's own marked source: cancel the relocation in
 			// place when the group has room or c outranks an unmarked
 			// resident of a full one, mirroring the native walk.
 			room := len(slots) < t.p.B || flagIndex(slots) >= 0
-			if m := maxUnmarkedSlot(view); room && len(view) < len(slots) || !room && m != 0 && c < m {
-				i := slotIndex(slots, c)
-				if i < 0 || !slots[i].marked {
-					continue
-				}
-				next := append([]simSlot(nil), slots...)
-				next[i] = simSlot{key: c}
-				if t.cas(lv, g, s, next) {
-					return simDone, dist
+			if m := maxUnmarkedSlot(view); room || m != 0 && c < m {
+				if t.cas(lv, g, s, unmarkSlot(slots, c)) {
+					return t.placedUnmarked(lv, c, g, chain), dist
 				}
 				continue
 			}
 		}
 		if len(slots) < t.p.B {
+			if src.left(t) {
+				return simLost, dist
+			}
 			if t.cas(lv, g, s, append(append([]simSlot(nil), slots...), simSlot{key: c})) {
 				return t.placed(lv, c, dist, chain), dist
 			}
@@ -509,6 +552,9 @@ func (t *simTable) placeKey(lv, c, exclude int, chain *relocChain) (simStatus, i
 		if i := flagIndex(slots); i >= 0 {
 			next := append([]simSlot(nil), slots...)
 			next[i] = simSlot{key: c}
+			if src.left(t) {
+				return simLost, dist
+			}
 			if t.cas(lv, g, s, next) {
 				return t.placed(lv, c, dist, chain), dist
 			}
@@ -516,12 +562,15 @@ func (t *simTable) placeKey(lv, c, exclude int, chain *relocChain) (simStatus, i
 		}
 		if m := maxUnmarkedSlot(slots); g != exclude && m != 0 && c < m && markedCount(slots) == 0 {
 			next := markSlot(slots, m)
+			if src.left(t) {
+				return simLost, dist
+			}
 			if !t.cas(lv, g, s, next) {
 				continue
 			}
-			st := t.finishEvict(lv, c, m, g, chain)
+			st := t.finishEvict(lv, c, m, g, src, chain)
 			if st == simDone {
-				return t.placed(lv, c, dist, chain), dist
+				return t.placedUnmarked(lv, c, g, chain), dist
 			}
 			if st == simLost {
 				continue
@@ -558,31 +607,62 @@ func maskOwnMark(slots []simSlot, c int) []simSlot {
 	return slots
 }
 
-// finishEvict mirrors the native finishEvict.
-func (t *simTable) finishEvict(lv, c, m, g int, chain *relocChain) simStatus {
+// finishEvict mirrors the native finishEvict: read g, place m, check
+// that m still sits where its walk reported (landedAt), and swap the
+// mark for c only in the word read before the walk — unless c's own
+// walk went stale meanwhile, when m's relocation is completed instead.
+func (t *simTable) finishEvict(lv, c, m, g int, src *simSrc, chain *relocChain) simStatus {
 	link := relocChain{m, chain}
-	if st, _ := t.placeKey(lv, m, g, &link); st != simDone {
-		if st == simFullStatus {
-			t.unmark(lv, m, g)
-			return simFullStatus
-		}
-		return st
-	}
+	msrc := simSrc{lv, g, simSlot{key: m, marked: true}}
 	for {
 		s, slots, isGone := t.read(lv, g)
 		if isGone {
 			return simRestart
 		}
-		if i := slotIndex(slots, m); i >= 0 && slots[i].marked {
-			next := append([]simSlot(nil), slots...)
-			next[i] = simSlot{key: c}
-			if t.cas(lv, g, s, next) {
-				return simDone
-			}
+		i := slotIndex(slots, m)
+		if i < 0 || !slots[i].marked {
+			return simLost
+		}
+		st, dist := t.placeKey(lv, m, &msrc, &link)
+		switch st {
+		case simDone:
+		case simFullStatus:
+			t.unmark(lv, m, g, &link)
+			return simFullStatus
+		default:
+			return st
+		}
+		if !t.landedAt(lv, m, dist) {
 			continue
 		}
-		return simLost
+		next := append([]simSlot(nil), slots...)
+		next[i] = simSlot{key: c}
+		if src.left(t) {
+			if st := t.relocateOut(lv, m, g, chain); st != simDone {
+				return st
+			}
+			return simLost
+		}
+		if t.cas(lv, g, s, next) {
+			return simDone
+		}
 	}
+}
+
+// landedAt mirrors the native landedAt: m sits unmarked at distance
+// dist along its run.
+func (t *simTable) landedAt(lv, m, dist int) bool {
+	G := t.groupsAt(lv)
+	_, slots, isGone := t.read(lv, (GroupOf(m, G)+dist)%G)
+	if isGone {
+		return false
+	}
+	for _, sl := range slots {
+		if !sl.flag && sl.key == m && !sl.marked {
+			return true
+		}
+	}
+	return false
 }
 
 // placed is the simulated post-placement validation, mirroring the
@@ -662,8 +742,9 @@ func (t *simTable) findKey(lv, c int) int {
 	return -1
 }
 
-// unmark cancels an eviction with no destination.
-func (t *simTable) unmark(lv, m, g int) {
+// unmark cancels an eviction with no destination, then repairs what
+// the cleared mark left behind (placedUnmarked).
+func (t *simTable) unmark(lv, m, g int, chain *relocChain) {
 	for {
 		s, slots, isGone := t.read(lv, g)
 		if isGone {
@@ -676,7 +757,41 @@ func (t *simTable) unmark(lv, m, g int) {
 		next := append([]simSlot(nil), slots...)
 		next[i] = simSlot{key: m}
 		if t.cas(lv, g, s, next) {
+			t.placedUnmarked(lv, m, g, chain)
 			return
+		}
+	}
+}
+
+// placedUnmarked mirrors the native placedUnmarked: after a CAS cleared
+// a mark in group g without releasing it, validate the copy of c left
+// there (placed) and pull back any key that crossed g while the mark
+// kept it from reading clean (fill).
+func (t *simTable) placedUnmarked(lv, c, g int, chain *relocChain) simStatus {
+	st := t.placed(lv, c, probeDist(c, g, t.groupsAt(lv)), chain)
+	if st == simDone {
+		st = t.fill(lv, g, chain)
+	}
+	return st
+}
+
+// fill mirrors the native fill: restore for a group a cleared mark left
+// clean instead of flagged.
+func (t *simTable) fill(lv, g int, chain *relocChain) simStatus {
+	for {
+		_, slots, isGone := t.read(lv, g)
+		if isGone {
+			return simRestart
+		}
+		if !cleanSlots(slots, t.p.B) {
+			return simDone
+		}
+		best, bestAt := t.crossing(lv, g)
+		if best == 0 {
+			return simDone
+		}
+		if st := t.pullBack(lv, best, bestAt, chain); st != simDone && st != simLost {
+			return st
 		}
 	}
 }
@@ -685,6 +800,7 @@ func (t *simTable) unmark(lv, m, g int) {
 // relocation at group j, releasing the stale slot into a restore flag.
 func (t *simTable) relocateOut(lv, m, j int, chain *relocChain) simStatus {
 	link := relocChain{m, chain}
+	src := simSrc{lv, j, simSlot{key: m, marked: true}}
 	for {
 		s, slots, isGone := t.read(lv, j)
 		if isGone {
@@ -694,12 +810,16 @@ func (t *simTable) relocateOut(lv, m, j int, chain *relocChain) simStatus {
 		if i < 0 || !slots[i].marked {
 			return simDone
 		}
-		if st, _ := t.placeKey(lv, m, j, &link); st != simDone {
+		st, dist := t.placeKey(lv, m, &src, &link)
+		if st == simLost || st == simDone && !t.landedAt(lv, m, dist) {
+			continue
+		}
+		if st != simDone {
 			if st == simFullStatus {
 				next := append([]simSlot(nil), slots...)
 				next[i] = simSlot{key: m}
 				if t.cas(lv, j, s, next) {
-					return simDone
+					return t.placedUnmarked(lv, m, j, &link)
 				}
 				continue
 			}
@@ -715,7 +835,6 @@ func (t *simTable) relocateOut(lv, m, j int, chain *relocChain) simStatus {
 
 // restore mirrors the native backward shift.
 func (t *simTable) restore(lv, g int, chain *relocChain) simStatus {
-	G := t.groupsAt(lv)
 	for {
 		s, slots, isGone := t.read(lv, g)
 		if isGone {
@@ -724,26 +843,7 @@ func (t *simTable) restore(lv, g int, chain *relocChain) simStatus {
 		if flagIndex(slots) < 0 {
 			return simDone
 		}
-		best, bestAt := 0, -1
-		j := (g + 1) % G
-		for dist := 1; dist < G; dist++ {
-			_, js, jGone := t.read(lv, j)
-			if jGone {
-				break
-			}
-			for _, sl := range js {
-				if sl.flag || sl.marked {
-					continue
-				}
-				if probeCrosses(sl.key, j, g, G) && (best == 0 || sl.key < best) {
-					best, bestAt = sl.key, j
-				}
-			}
-			if cleanSlots(js, t.p.B) {
-				break
-			}
-			j = (j + 1) % G
-		}
+		best, bestAt := t.crossing(lv, g)
 		if best == 0 {
 			next := removeFlag(slots)
 			if t.cas(lv, g, s, next) {
@@ -751,23 +851,55 @@ func (t *simTable) restore(lv, g int, chain *relocChain) simStatus {
 			}
 			continue
 		}
-		js, jslots, jGone := t.read(lv, bestAt)
-		if jGone {
-			continue
-		}
-		i := slotIndex(jslots, best)
-		if i < 0 || jslots[i].marked {
-			continue
-		}
-		next := append([]simSlot(nil), jslots...)
-		next[i] = simSlot{key: best, marked: true}
-		if !t.cas(lv, bestAt, js, next) {
-			continue
-		}
-		if st := t.relocateOut(lv, best, bestAt, chain); st != simDone {
+		if st := t.pullBack(lv, best, bestAt, chain); st != simDone && st != simLost {
 			return st
 		}
 	}
+}
+
+// crossing mirrors the native candidate scan of restore and fill.
+func (t *simTable) crossing(lv, g int) (best, bestAt int) {
+	G := t.groupsAt(lv)
+	bestAt = -1
+	j := (g + 1) % G
+	for dist := 1; dist < G; dist++ {
+		_, js, jGone := t.read(lv, j)
+		if jGone {
+			break
+		}
+		for _, sl := range js {
+			if sl.flag || sl.marked {
+				continue
+			}
+			if probeCrosses(sl.key, j, g, G) && (best == 0 || sl.key < best) {
+				best, bestAt = sl.key, j
+			}
+		}
+		if cleanSlots(js, t.p.B) {
+			break
+		}
+		j = (j + 1) % G
+	}
+	return best, bestAt
+}
+
+// pullBack mirrors the native pullBack: mark best at group at and
+// complete its relocation; simLost when best moved or was marked.
+func (t *simTable) pullBack(lv, best, at int, chain *relocChain) simStatus {
+	js, jslots, jGone := t.read(lv, at)
+	if jGone {
+		return simLost
+	}
+	i := slotIndex(jslots, best)
+	if i < 0 || jslots[i].marked {
+		return simLost
+	}
+	next := append([]simSlot(nil), jslots...)
+	next[i] = simSlot{key: best, marked: true}
+	if !t.cas(lv, at, js, next) {
+		return simLost
+	}
+	return t.relocateOut(lv, best, at, chain)
 }
 
 // remove deletes key, flagging the hole and running the backward shift
@@ -992,7 +1124,7 @@ func (t *simTable) drainGroup(g int) {
 			continue
 		}
 		key := slots[0].key
-		if st, _ := t.placeKey(1, key, -1, nil); st != simDone {
+		if st, _ := t.placeKey(1, key, &simSrc{0, g, slots[0]}, nil); st != simDone {
 			continue
 		}
 		next := append([]simSlot(nil), slots[1:]...)
@@ -1066,6 +1198,20 @@ func markSlot(slots []simSlot, key int) []simSlot {
 	for i, sl := range out {
 		if !sl.flag && sl.key == key {
 			out[i].marked = true
+		}
+	}
+	return out
+}
+
+// unmarkSlot returns slots with the first marked copy of key unmarked
+// (the native wordReplace(w, key|slotMark, key)); unchanged if there is
+// none.
+func unmarkSlot(slots []simSlot, key int) []simSlot {
+	out := append([]simSlot(nil), slots...)
+	for i, sl := range out {
+		if !sl.flag && sl.key == key && sl.marked {
+			out[i].marked = false
+			return out
 		}
 	}
 	return out

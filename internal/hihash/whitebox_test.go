@@ -190,3 +190,128 @@ func TestRelocateBackToSourceResolvesInPlace(t *testing.T) {
 		t.Fatalf("memory not canonical after the relocation and a grow:\n got:  %s\n want: %s", got, canon)
 	}
 }
+
+// TestInPlaceCancelFillsCleanedGroup pins the ghost-window gap of an
+// in-place cancel: m is marked in a full group 0 (its relocation
+// parked). x, homing at 0 as well, passes group 0 and evicts s from
+// group 1; the hook removes two residents of group 0 the instant x's
+// eviction mark lands, and their backward shifts skip the marked s and
+// find no candidate. x then lands in group 1, and its validation passes
+// group 0, which m's mark keeps from reading clean. When m's relocation
+// is then cancelled in place, group 0 turns clean with x beyond it. The
+// cancel must pull x back before it closes m's window: left beyond a
+// clean group with no window open, x was invisible to Contains, and a
+// Remove answered absent without sweeping and left the copy for a
+// grow's drain to bring back.
+func TestInPlaceCancelFillsCleanedGroup(t *testing.T) {
+	const domain, G = 200, 3
+	home0 := KeysHomingAt(domain, G, 0, SlotsPerGroup+1)
+	a, b, c, m, x := home0[0], home0[1], home0[2], home0[3], home0[4]
+	home1 := KeysHomingAt(domain, G, 1, SlotsPerGroup)
+	p, q, r := home1[0], home1[1], home1[2]
+	s1 := 0 // the largest key homing at group 1: x outranks it
+	for k := domain; s1 == 0; k-- {
+		if GroupOf(k, G) == 1 {
+			s1 = k
+		}
+	}
+	if s1 <= x || s1 <= r {
+		t.Fatalf("fixture: s = %d must outrank x = %d and r = %d", s1, x, r)
+	}
+	s := NewDisplaceSet(domain, G)
+	st := s.st.Load()
+	full0 := [SlotsPerGroup]uint64{uint64(a), uint64(b), uint64(c), uint64(m) | slotMark}
+	st.groups[0].Store(packWord(&full0, SlotsPerGroup))
+	s.ghost.open() // the crafted mark's window, as its owner would have opened it
+	full1 := [SlotsPerGroup]uint64{uint64(p), uint64(q), uint64(r), uint64(s1)}
+	st.groups[1].Store(packWord(&full1, SlotsPerGroup))
+	fired := false
+	SetStepHook(func(sp Steppoint) {
+		if !fired && sp == SpMarkSet {
+			fired = true
+			s.Remove(a)
+			s.Remove(b)
+		}
+	})
+	defer SetStepHook(nil)
+	within(t, 20*time.Second, "Insert wedged evicting past a parked mark", func() {
+		s.Insert(x)
+	})
+	SetStepHook(nil)
+	if !fired {
+		t.Fatal("the insert never marked a key for eviction")
+	}
+	within(t, 20*time.Second, "relocateOut wedged cancelling in place", func() {
+		s.relocateOut(st, m, 0, nil)
+	})
+	if n := s.GhostWindows(); n != 0 {
+		t.Fatalf("%d ghost windows open after the cancel, want 0", n)
+	}
+	want := []int{c, m, x, p, q, r, s1}
+	for _, k := range want {
+		if !s.Contains(k) {
+			t.Fatalf("Contains(%d) = false after the cancel\n%s", k, s.Snapshot())
+		}
+	}
+	if got, canon := s.Snapshot(), CanonicalSetSnapshot(domain, s.NumGroups(), want); got != canon {
+		t.Fatalf("memory not canonical after the cancel:\n got:  %s\n want: %s", got, canon)
+	}
+	s.Remove(x)
+	s.Grow()
+	if s.Contains(x) {
+		t.Fatalf("Contains(%d) = true after Remove and a grow\n%s", x, s.Snapshot())
+	}
+}
+
+// TestStaleWalkStandsDown pins the walk-source rule: a placement walk
+// whose source slot has left its group places nothing. A relocation
+// helper or a migration drainer that read its source and was preempted
+// may resume after another helper finished the move and the owner's
+// Remove took the key; landing then brought the removed key back. Each
+// case hands placeKey a source that is already gone and requires
+// wsLost and an untouched table: a relocation back at its own source
+// group (the exact test, on the word the landing would CAS), a
+// relocation that would land or evict before reaching its source, and
+// a drain whose old-array slot was dropped.
+func TestStaleWalkStandsDown(t *testing.T) {
+	const domain, G = 200, 3
+	k := KeysHomingAt(domain, G, 0, 1)[0]
+	full := KeysHomingAt(domain, G, 0, SlotsPerGroup+1)[1:]
+	cases := []struct {
+		name  string
+		craft func(st *tableState) *walkSrc
+	}{
+		{"at its source", func(st *tableState) *walkSrc {
+			return &walkSrc{st, 0, uint64(k) | slotMark}
+		}},
+		{"before its source", func(st *tableState) *walkSrc {
+			return &walkSrc{st, 2, uint64(k) | slotMark}
+		}},
+		{"evicting before its source", func(st *tableState) *walkSrc {
+			var slots [SlotsPerGroup]uint64
+			for i, f := range full {
+				slots[i] = uint64(f) // all outranked by k: the walk would evict
+			}
+			st.groups[0].Store(packWord(&slots, SlotsPerGroup))
+			return &walkSrc{st, 2, uint64(k) | slotMark}
+		}},
+		{"drain", func(*tableState) *walkSrc {
+			return &walkSrc{newTableState(G), 1, uint64(k)}
+		}},
+	}
+	for _, tc := range cases {
+		s := NewDisplaceSet(domain, G)
+		st := s.st.Load()
+		src := tc.craft(st)
+		before := s.Snapshot()
+		if rs, _ := s.placeKey(st, k, src, nil); rs != wsLost {
+			t.Fatalf("%s: placeKey = %v with the source gone, want wsLost", tc.name, rs)
+		}
+		if got := s.Snapshot(); got != before {
+			t.Fatalf("%s: a stale walk changed the table:\n got:  %s\n want: %s", tc.name, got, before)
+		}
+		if n := s.GhostWindows(); n != 0 {
+			t.Fatalf("%s: %d ghost windows left open by a stale walk", tc.name, n)
+		}
+	}
+}

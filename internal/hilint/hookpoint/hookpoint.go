@@ -13,7 +13,12 @@
 //     re-loaded per iteration of one event's work);
 //   - two Loads of the same point in one function (a TOCTOU pair — the
 //     observer can be uninstalled between them);
-//   - a Load whose result is used without a nil check.
+//   - a Load whose result is used without a nil check;
+//   - a write that bypasses Install/Uninstall: Point embeds its
+//     atomic.Pointer so that Load inlines, which also promotes Store,
+//     Swap and CompareAndSwap (and the Pointer field itself) into every
+//     package that declares a point. Test files are checked for these
+//     writes too.
 package hookpoint
 
 import (
@@ -43,20 +48,43 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Pkg.Files {
-		if f.Test {
-			// Churn tests install/uninstall observers in loops on purpose;
-			// the idiom governs the instrumented production sites.
-			continue
-		}
 		for _, decl := range f.AST.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
+				continue
+			}
+			checkWrites(pass, f, fn.Body, points)
+			if f.Test {
+				// Churn tests install/uninstall observers in loops on
+				// purpose; the load idiom governs the instrumented
+				// production sites.
 				continue
 			}
 			checkFunc(pass, f, fn.Body, points)
 		}
 	}
 	return nil
+}
+
+// rawWrites are the members the embedded atomic.Pointer promotes into
+// a Point that change the observer without going through Install or
+// Uninstall.
+var rawWrites = map[string]bool{"Store": true, "Swap": true, "CompareAndSwap": true, "Pointer": true}
+
+// checkWrites reports every use of a raw write member on a hook point,
+// called or taken as a method value.
+func checkWrites(pass *analysis.Pass, f *analysis.File, body *ast.BlockStmt, points map[string]bool) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || !rawWrites[sel.Sel.Name] {
+			return true
+		}
+		if id, ok := sel.X.(*ast.Ident); ok && points[id.Name] {
+			pass.Reportf(f, sel.Pos(),
+				"hook point %s written through %s: change the observer only with Install/Uninstall", id.Name, sel.Sel.Name)
+		}
+		return true
+	})
 }
 
 // hookVars collects the package-level variables declared with type

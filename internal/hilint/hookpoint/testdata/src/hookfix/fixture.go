@@ -1,6 +1,7 @@
 // Package hookfix is a bug-shaped fixture for the hookpoint analyzer:
-// the accepted load shapes stay silent, the rotted ones — re-load in a
-// loop, a TOCTOU load pair, an unchecked use — are reported.
+// the accepted load and install shapes stay silent, the rotted ones —
+// re-load in a loop, a TOCTOU load pair, an unchecked use, a raw write
+// past Install/Uninstall — are reported.
 package hookfix
 
 import "hiconc/internal/hook"
@@ -70,4 +71,21 @@ func badDouble(ev int) {
 func badNoCheck(ev int) {
 	r := active.Load() // want `without a nil check`
 	r.observe(ev)
+}
+
+// Install and Uninstall are the only sanctioned writes.
+func goodInstall(r *recorder) {
+	old := active.Install(r)
+	active.Uninstall()
+	_ = old
+}
+
+// The embedded atomic.Pointer promotes raw writes that skip them.
+func badRawWrites(r *recorder) {
+	active.Store(r)               // want `written through Store`
+	active.Swap(nil)              // want `written through Swap`
+	active.CompareAndSwap(nil, r) // want `written through CompareAndSwap`
+	active.Pointer.Store(r)       // want `written through Pointer`
+	set := active.Store           // want `written through Store`
+	set(nil)
 }

@@ -20,7 +20,10 @@ import "sync/atomic"
 // empty: the load every instrumented site's fast path pays. Embedding,
 // rather than wrapping Load in a method of its own, keeps a site of the
 // form `if r := p.Load(); r != nil { r.observe(...) }` within the
-// compiler's inlining budget, so a disabled site costs no call.
+// compiler's inlining budget, so a disabled site costs no call. The
+// embedding promotes Store, Swap and CompareAndSwap as well; observers
+// change only through Install and Uninstall, and hilint's hookpoint
+// analyzer reports any other write to a point.
 type Point[T any] struct {
 	atomic.Pointer[T]
 }
