@@ -436,7 +436,7 @@ func BenchmarkCellLLSC(b *testing.B) {
 	b.Run("uncontended", func(b *testing.B) {
 		c := conc.NewCell(0)
 		for i := 0; i < b.N; i++ {
-			v := c.LL(0).(int)
+			v := c.LL(0)
 			if !c.SC(0, v+1) {
 				b.Fatal("uncontended SC failed")
 			}
@@ -449,7 +449,7 @@ func BenchmarkCellLLSC(b *testing.B) {
 			pid := int(pidCtr.Add(1)-1) % 64
 			for pb.Next() {
 				for {
-					v := c.LL(pid).(int)
+					v := c.LL(pid)
 					if c.SC(pid, v+1) {
 						break
 					}

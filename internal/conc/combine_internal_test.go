@@ -77,7 +77,7 @@ func TestBatchRecordAppliesInOrder(t *testing.T) {
 	if !ok || len(batch) != 3 {
 		t.Fatalf("batch = %v", batch)
 	}
-	h := u.head.LL(0).(headState)
+	h := u.head.LL(0)
 	st := h.state
 	recs := make([]rspRec, len(batch))
 	for k, b := range batch {
@@ -85,7 +85,7 @@ func TestBatchRecordAppliesInOrder(t *testing.T) {
 		st, rsp = u.obj.Apply(st, b.op)
 		recs[k] = rspRec{rsp: rsp, proc: b.proc}
 	}
-	if !u.head.SC(0, headState{state: st, recs: recs}) {
+	if !u.head.SC(0, withRecs(st, recs)) {
 		t.Fatal("SC failed with no contention")
 	}
 	for k, rec := range recs {
@@ -94,8 +94,8 @@ func TestBatchRecordAppliesInOrder(t *testing.T) {
 		}
 	}
 	// A helper in mode B must post all three responses, then clear head.
-	hv := u.head.LL(1).(headState)
-	posted, escaped := u.postRecs(1, hv, nil, false)
+	hv := u.head.LL(1)
+	posted, escaped := u.postRecs(1, &hv, nil, false)
 	if !posted || escaped {
 		t.Fatalf("postRecs = (%v, %v), want (true, false)", posted, escaped)
 	}
@@ -108,7 +108,7 @@ func TestBatchRecordAppliesInOrder(t *testing.T) {
 			t.Errorf("ann[%d] = %+v, want response %d", j, a, j)
 		}
 	}
-	if got := u.head.Load().(headState); len(got.recs) != 0 || got.state.(int) != 3 {
+	if got := u.head.Load(); got.numRecs() != 0 || got.state.(int) != 3 {
 		t.Errorf("head after clear = %+v, want <3,_>", got)
 	}
 }

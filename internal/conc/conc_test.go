@@ -67,7 +67,7 @@ func TestCellConcurrentSC(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < m; i++ {
 				for {
-					v := c.LL(pid).(int)
+					v := c.LL(pid)
 					if c.SC(pid, v+1) {
 						break
 					}
@@ -76,7 +76,7 @@ func TestCellConcurrentSC(t *testing.T) {
 		}(pid)
 	}
 	wg.Wait()
-	if got := c.Load().(int); got != n*m {
+	if got := c.Load(); got != n*m {
 		t.Fatalf("final value %d, want %d", got, n*m)
 	}
 	if _, ctx := c.Snapshot(); ctx != 0 {
@@ -84,12 +84,65 @@ func TestCellConcurrentSC(t *testing.T) {
 	}
 }
 
+// TestCellConcurrentInPlaceContext mixes the operations that write the
+// context in place (LL sets the caller's bit, RL clears it) with SCs and
+// VL probes from 8 goroutines. Only the owner writes its bit, so a
+// process's own RL leaves it unlinked whatever the others do, and once VL
+// reports the link gone no later SC of the owner can succeed. Every
+// successful SC adds one, and every process's last step is an SC or an
+// RL, so no link survives to quiescence.
+func TestCellConcurrentInPlaceContext(t *testing.T) {
+	const n, m = 8, 2000
+	c := conc.NewCell(0)
+	var wins atomic.Int64
+	var wg sync.WaitGroup
+	for pid := 0; pid < n; pid++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(pid)))
+			for i := 0; i < m; i++ {
+				v := c.LL(pid)
+				if rng.Intn(2) == 0 { // an LL;RL pair
+					c.RL(pid)
+					if c.VL(pid) {
+						t.Errorf("p%d: VL true right after its own RL", pid)
+						return
+					}
+					continue
+				}
+				linked := c.VL(pid) // probe between LL and SC
+				ok := c.SC(pid, v+1)
+				if ok {
+					wins.Add(1)
+				}
+				if ok && !linked {
+					t.Errorf("p%d: SC succeeded after VL reported the link gone", pid)
+					return
+				}
+				if c.VL(pid) {
+					t.Errorf("p%d: VL true right after its own SC", pid)
+					return
+				}
+			}
+		}(pid)
+	}
+	wg.Wait()
+	v, ctx := c.Snapshot()
+	if int64(v) != wins.Load() {
+		t.Fatalf("final value %d, want %d successful SCs", v, wins.Load())
+	}
+	if ctx != 0 {
+		t.Fatalf("context not empty at quiescence: %b", ctx)
+	}
+}
+
 func TestCellLLWithAbort(t *testing.T) {
 	c := conc.NewCell(1)
 	calls := 0
-	// An abort that fires on the first poll: LL must give up without
-	// linking once its CAS fails; with no contention the CAS succeeds
-	// before the abort is consulted, so force contention via a pre-link.
+	// An abort that fires on the first poll: LL gives up only after an
+	// attempt whose pointer re-read fails; with no contention the first
+	// attempt confirms its node before the abort is consulted.
 	v, ok := c.LLWithAbort(0, func() bool { calls++; return true })
 	if !ok || v != 1 {
 		t.Fatalf("uncontended LL aborted (ok=%v v=%v calls=%d)", ok, v, calls)

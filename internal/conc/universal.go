@@ -30,18 +30,45 @@ type rspRec struct {
 }
 
 // headState mirrors the paper's ⟨state, r⟩ head value: the abstract state
-// plus the response records (⊥ when recs is empty). Algorithm 5 stores at
-// most one record; the combining extension installs a batch of records, one
-// per folded operation, linearized in slice order at the installing SC.
+// plus its response records (⊥ when it has none). Algorithm 5 stores at
+// most one record, kept inline in rec; the combining extension installs a
+// batch of two or more records in batch, one per folded operation,
+// linearized in slice order at the installing SC.
 type headState struct {
 	state any
-	recs  []rspRec
+	one   bool // rec holds the single response record
+	rec   rspRec
+	batch []rspRec
 }
 
-// containsProc reports whether recs holds a record for process i.
-func containsProc(recs []rspRec, i int) bool {
-	for _, r := range recs {
-		if r.proc == i {
+// withRecs returns ⟨state, recs⟩, keeping a single record inline.
+func withRecs(state any, recs []rspRec) headState {
+	if len(recs) == 1 {
+		return headState{state: state, one: true, rec: recs[0]}
+	}
+	return headState{state: state, batch: recs}
+}
+
+// numRecs returns the number of response records.
+func (h *headState) numRecs() int {
+	if h.one {
+		return 1
+	}
+	return len(h.batch)
+}
+
+// recAt returns the k-th response record in linearization order.
+func (h *headState) recAt(k int) rspRec {
+	if h.one {
+		return h.rec
+	}
+	return h.batch[k]
+}
+
+// hasRec reports whether h holds a record for process i.
+func (h *headState) hasRec(i int) bool {
+	for k := 0; k < h.numRecs(); k++ {
+		if h.recAt(k).proc == i {
 			return true
 		}
 	}
@@ -102,8 +129,8 @@ type Universal struct {
 	n     int
 	leaky bool
 	comb  Combiner
-	head  *Cell
-	ann   []*Cell
+	head  *Cell[headState]
+	ann   []*Cell[annState]
 	prio  []pad
 }
 
@@ -142,7 +169,7 @@ func newUniversal(obj Object, n int, leaky bool, comb Combiner) *Universal {
 		leaky: leaky,
 		comb:  comb,
 		head:  NewCell(headState{state: obj.Init()}),
-		ann:   make([]*Cell, n),
+		ann:   make([]*Cell[annState], n),
 		prio:  make([]pad, n),
 	}
 	for i := range u.ann {
@@ -167,13 +194,13 @@ func (u *Universal) Name() string {
 // N returns the number of processes.
 func (u *Universal) N() int { return u.n }
 
-func (u *Universal) loadAnn(j int) annState { return u.ann[j].Load().(annState) }
+func (u *Universal) loadAnn(j int) annState { return u.ann[j].Load() }
 
 // Apply implements Applier; it is Algorithm 5's Apply/ApplyReadOnly
 // dispatch.
 func (u *Universal) Apply(pid int, op core.Op) int {
 	if u.obj.ReadOnly(op) {
-		st := u.head.Load().(headState).state
+		st := u.head.Load().state
 		_, rsp := u.obj.Apply(st, op)
 		return rsp
 	}
@@ -192,27 +219,26 @@ func (u *Universal) applyUpdate(i int, op core.Op) int {
 	contended := false
 
 	for !done() { // Line 5
-		hv, ok := u.head.LLWithAbort(i, done) // Line 6 (+6R escape)
+		h, ok := u.head.LLWithAbort(i, done) // Line 6 (+6R escape)
 		if !ok {
 			break
 		}
-		h := hv.(headState)
-		if len(h.recs) == 0 { // Line 7: mode A
-			var st any
-			var recs []rspRec
+		if h.numRecs() == 0 { // Line 7: mode A
+			var next headState
 			combined, helped := false, false
 			if u.comb != nil && contended {
 				batch, ok := u.gatherBatch(i, op, *prio)
 				if !ok { // Line 11
 					continue
 				}
-				st = h.state
-				recs = make([]rspRec, len(batch))
+				st := h.state
+				recs := make([]rspRec, len(batch))
 				for k, b := range batch {
 					var rsp int
 					st, rsp = u.obj.Apply(st, b.op) // Line 13
 					recs[k] = rspRec{rsp: rsp, proc: b.proc}
 				}
+				next = withRecs(st, recs)
 				combined = true
 			} else {
 				var applyOp core.Op
@@ -226,14 +252,13 @@ func (u *Universal) applyUpdate(i int, op core.Op) int {
 					}
 					applyOp, j = op, i // Line 12
 				}
-				var rsp int
-				st, rsp = u.obj.Apply(h.state, applyOp) // Line 13
-				recs = []rspRec{{rsp: rsp, proc: j}}
+				st, rsp := u.obj.Apply(h.state, applyOp) // Line 13
+				next = headState{state: st, one: true, rec: rspRec{rsp: rsp, proc: j}}
 			}
-			if u.head.SC(i, headState{state: st, recs: recs}) { // Line 14
+			if u.head.SC(i, next) { // Line 14
 				if combined {
 					histats.Inc(histats.CtrCombineBatch)
-					histats.Observe(histats.HistBatchSize, uint64(len(recs)))
+					histats.Observe(histats.HistBatchSize, uint64(next.numRecs()))
 					hirec.Step("combine-batch")
 				}
 				if helped {
@@ -249,7 +274,7 @@ func (u *Universal) applyUpdate(i int, op core.Op) int {
 			}
 			continue
 		}
-		posted, escaped := u.postRecs(i, h, done, false) // Lines 17-20 per record
+		posted, escaped := u.postRecs(i, &h, done, false) // Lines 17-20 per record
 		if escaped {
 			break
 		}
@@ -262,20 +287,24 @@ func (u *Universal) applyUpdate(i int, op core.Op) int {
 	if response.kind != annRsp {
 		panic(fmt.Sprintf("conc: p%d reached line 24 without a response", i))
 	}
-	// Line 25 (+25R escape).
-	hv, ok := u.head.LLWithAbort(i, func() bool {
-		return !containsProc(u.head.Load().(headState).recs, i)
-	})
+	// Line 25 (+25R escape). The escape condition is polled before the
+	// first LL step, a legal schedule of the ∥: a process whose record is
+	// already gone, typically cleared by its own line 21 SC, does no LL, and
+	// its line 27 RL writes only if a line 6 link is still in place.
+	gone := func() bool {
+		h := u.head.Load()
+		return !h.hasRec(i)
+	}
 	cleared := false
-	if ok {
-		if h := hv.(headState); containsProc(h.recs, i) { // Line 26
+	if !gone() {
+		if h, ok := u.head.LLWithAbort(i, gone); ok && h.hasRec(i) { // Line 26
 			// Before erasing a record that may cover other processes'
 			// operations, post their responses (the caller already holds its
 			// own); abandon if the head moves under us — whoever moved it
 			// posted everything first.
 			posted := true
-			if len(h.recs) > 1 {
-				posted, _ = u.postRecs(i, h, func() bool { return !u.head.VL(i) }, true)
+			if h.numRecs() > 1 {
+				posted, _ = u.postRecs(i, &h, func() bool { return !u.head.VL(i) }, true)
 			}
 			if posted {
 				cleared = u.head.SC(i, headState{state: h.state})
@@ -298,17 +327,17 @@ func (u *Universal) applyUpdate(i int, op core.Op) int {
 // SC), and escaped = true when the abort condition fired mid-LL (line 18R:
 // the caller proceeds to line 24). skipSelf omits the caller's own record,
 // used on the line 26 path where the caller already consumed its response.
-func (u *Universal) postRecs(i int, h headState, abort func() bool, skipSelf bool) (posted, escaped bool) {
-	for _, rec := range h.recs {
+func (u *Universal) postRecs(i int, h *headState, abort func() bool, skipSelf bool) (posted, escaped bool) {
+	for k := 0; k < h.numRecs(); k++ {
+		rec := h.recAt(k)
 		if skipSelf && rec.proc == i {
 			continue
 		}
-		av, ok := u.ann[rec.proc].LLWithAbort(i, abort) // Line 18 (+18R escape)
+		a, ok := u.ann[rec.proc].LLWithAbort(i, abort) // Line 18 (+18R escape)
 		if !ok {
 			u.ann[rec.proc].RL(i) // Line 18R.2
 			return false, true
 		}
-		a := av.(annState)
 		if !u.head.VL(i) { // Line 19
 			if a.kind == annBot && !u.leaky { // Line 22 (red)
 				u.ann[rec.proc].RL(i)
@@ -366,52 +395,41 @@ func (u *Universal) gatherBatch(i int, op core.Op, prio int) ([]pendingOp, bool)
 }
 
 // State returns the current abstract state (the val component of head).
-func (u *Universal) State() any { return u.head.Load().(headState).state }
+func (u *Universal) State() any { return u.head.Load().state }
 
 // Snapshot renders the logical memory representation — every cell's
 // (val, context) pair — for history-independence checks at quiescent
 // barriers.
 func (u *Universal) Snapshot() string {
 	var b strings.Builder
-	renderCell(&b, "head", u.head)
-	for i, a := range u.ann {
-		b.WriteString(" | ")
-		renderCell(&b, fmt.Sprintf("ann%d", i), a)
+	h, ctx := u.head.Snapshot()
+	switch h.numRecs() {
+	case 0:
+		fmt.Fprintf(&b, "head=<%v,_>/ctx=%b", h.state, ctx)
+	case 1:
+		fmt.Fprintf(&b, "head=<%v,<%d,p%d>>/ctx=%b", h.state, h.recAt(0).rsp, h.recAt(0).proc, ctx)
+	default:
+		fmt.Fprintf(&b, "head=<%v,[", h.state)
+		for k, r := range h.batch {
+			if k > 0 {
+				b.WriteString(",")
+			}
+			fmt.Fprintf(&b, "<%d,p%d>", r.rsp, r.proc)
+		}
+		fmt.Fprintf(&b, "]>/ctx=%b", ctx)
+	}
+	for i, c := range u.ann {
+		a, ctx := c.Snapshot()
+		switch a.kind {
+		case annBot:
+			fmt.Fprintf(&b, " | ann%d=_/ctx=%b", i, ctx)
+		case annOp:
+			fmt.Fprintf(&b, " | ann%d=%v/ctx=%b", i, a.op, ctx)
+		case annRsp:
+			fmt.Fprintf(&b, " | ann%d=r%d/ctx=%b", i, a.rsp, ctx)
+		}
 	}
 	return b.String()
-}
-
-func renderCell(b *strings.Builder, name string, c *Cell) {
-	v, ctx := c.Snapshot()
-	switch t := v.(type) {
-	case headState:
-		switch len(t.recs) {
-		case 0:
-			fmt.Fprintf(b, "%s=<%v,_>/ctx=%b", name, t.state, ctx)
-		case 1:
-			fmt.Fprintf(b, "%s=<%v,<%d,p%d>>/ctx=%b", name, t.state, t.recs[0].rsp, t.recs[0].proc, ctx)
-		default:
-			fmt.Fprintf(b, "%s=<%v,[", name, t.state)
-			for k, r := range t.recs {
-				if k > 0 {
-					b.WriteString(",")
-				}
-				fmt.Fprintf(b, "<%d,p%d>", r.rsp, r.proc)
-			}
-			fmt.Fprintf(b, "]>/ctx=%b", ctx)
-		}
-	case annState:
-		switch t.kind {
-		case annBot:
-			fmt.Fprintf(b, "%s=_/ctx=%b", name, ctx)
-		case annOp:
-			fmt.Fprintf(b, "%s=%v/ctx=%b", name, t.op, ctx)
-		case annRsp:
-			fmt.Fprintf(b, "%s=r%d/ctx=%b", name, t.rsp, ctx)
-		}
-	default:
-		fmt.Fprintf(b, "%s=%v/ctx=%b", name, v, ctx)
-	}
 }
 
 // CanonicalSnapshot returns the canonical memory representation of abstract

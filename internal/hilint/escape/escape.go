@@ -2,8 +2,9 @@
 // update paths: it parses the compiler's own escape analysis
 // (`go build -gcflags=-m=2`) and asserts that a declared list of
 // hot-path functions — the TestLookupAllocs and TestUpdateAllocs
-// surfaces and the probeScan/runScan split — compiles with zero heap
-// escapes. The alloc guards measure the paths a run happens to
+// surfaces, the probeScan/runScan split, and the R-LLSC cell
+// operations that TestUniversalAllocs relies on — compiles with zero
+// heap escapes. The alloc guards measure the paths a run happens to
 // execute; this gate reads what the compiler proved about
 // every path, and fails with the compiler's own escape trace when a
 // refactor (the ROADMAP key-width work will churn exactly these
@@ -41,7 +42,9 @@ type Hot struct {
 // HotPaths is the declared hot-path list: every lookup and update
 // surface TestLookupAllocs and TestUpdateAllocs pin at zero
 // allocations, plus the fixed-buffer half of the probeScan/runScan
-// split. internal/hihash's alloc guard imports this list and fails if
+// split; and in internal/conc the R-LLSC cell operations that work in
+// place, with Universal.Apply, whose lookups TestUniversalAllocs pins
+// at zero. Each package's alloc guard imports this list and fails if
 // the two drift apart.
 func HotPaths() []Hot {
 	return []Hot{{
@@ -61,6 +64,15 @@ func HotPaths() []Hot {
 			"Set.displaceRemove",
 			"Set.placeKey",
 			"Set.placed",
+		},
+	}, {
+		Pkg: "./internal/conc",
+		Funcs: []string{
+			"Cell.LLWithAbort",
+			"Cell.VL",
+			"Cell.RL",
+			"Cell.Load",
+			"Universal.Apply",
 		},
 	}}
 }
@@ -224,7 +236,9 @@ func funcRanges(dir string) ([]funcRange, error) {
 	return out, nil
 }
 
-// declName renders a FuncDecl the way HotPaths spells it.
+// declName renders a FuncDecl the way HotPaths spells it: a method of a
+// generic type is named after the bare type, so (c *Cell[T]) RL is
+// "Cell.RL".
 func declName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name
@@ -232,6 +246,12 @@ func declName(fd *ast.FuncDecl) string {
 	t := fd.Recv.List[0].Type
 	if star, ok := t.(*ast.StarExpr); ok {
 		t = star.X
+	}
+	switch g := t.(type) {
+	case *ast.IndexExpr:
+		t = g.X
+	case *ast.IndexListExpr:
+		t = g.X
 	}
 	if id, ok := t.(*ast.Ident); ok {
 		return id.Name + "." + fd.Name.Name

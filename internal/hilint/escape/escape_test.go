@@ -68,6 +68,34 @@ func TestDriftDetected(t *testing.T) {
 	}
 }
 
+// TestGenericReceiversNamed pins the naming of methods on generic types:
+// (b *box[T]) grow is "box.grow" and (p *pair[K, V]) key is "pair.key",
+// so declaring them is no drift finding, and an escape inside grow is
+// attributed to it.
+func TestGenericReceiversNamed(t *testing.T) {
+	findings, err := escape.AuditPackage("testdata/broken", escape.Hot{
+		Pkg:   ".",
+		Funcs: []string{"box.get", "box.grow", "pair.key"},
+	})
+	if err != nil {
+		t.Fatalf("escape audit of broken fixture: %v", err)
+	}
+	var hit bool
+	for _, f := range findings {
+		switch {
+		case f.Pos == "":
+			t.Errorf("declared generic method reported missing: %s", f)
+		case f.Func == "box.grow" && strings.Contains(f.Detail, "escapes to heap"):
+			hit = true
+		default:
+			t.Errorf("unexpected finding: %s", f)
+		}
+	}
+	if !hit {
+		t.Fatalf("gate missed the escape in box.grow; findings: %v", findings)
+	}
+}
+
 // TestHotFuncsAccessor pins the accessor the alloc guard ties into.
 func TestHotFuncsAccessor(t *testing.T) {
 	funcs := escape.HotFuncs("./internal/hihash")
@@ -84,6 +112,9 @@ func TestHotFuncsAccessor(t *testing.T) {
 		if !seen {
 			t.Errorf("HotFuncs missing %s", fn)
 		}
+	}
+	if len(escape.HotFuncs("./internal/conc")) == 0 {
+		t.Error("HotFuncs(./internal/conc) is empty")
 	}
 	if escape.HotFuncs("./no/such/pkg") != nil {
 		t.Error("HotFuncs of an undeclared package should be nil")

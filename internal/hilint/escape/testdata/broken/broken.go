@@ -36,3 +36,27 @@ func cleanLookup(key uint64) int {
 	}
 	return n
 }
+
+// box and pair have generic receivers: the gate must name their methods
+// box.get, box.grow and pair.key, as it names methods of plain types.
+type box[T any] struct{ v T }
+
+func (b *box[T]) get() T { return b.v }
+
+// grow allocates a fresh box on every call.
+func (b *box[T]) grow() *box[T] { return &box[T]{v: b.v} }
+
+type pair[K comparable, V any] struct {
+	k K
+	v V
+}
+
+func (p *pair[K, V]) key() K { return p.k }
+
+// useGenerics instantiates the generic methods so the compiler emits
+// their escape diagnostics.
+func useGenerics() (int, *box[int], string) {
+	b := &box[int]{v: 1}
+	p := &pair[string, int]{k: "k"}
+	return b.get(), b.grow(), p.key()
+}
