@@ -1,11 +1,7 @@
-// Command histarve runs the constructive impossibility adversaries:
-//
-//	E4 — the Theorem 17 (Lemma 15/16) adversary against the SWSR register
-//	     algorithms: it starves Algorithm 2's reader indefinitely and is
-//	     defeated by Algorithm 4 (which is outside the theorem's
-//	     hypotheses).
-//	E5 — the Theorem 20 (Appendix C) adversary against the queue-with-Peek
-//	     from binary registers.
+// Command histarve runs the constructive impossibility adversaries: the
+// Theorem 17 adversary against the SWSR register algorithms (E4) and the
+// Theorem 20 adversary against the queue-with-Peek (E5). The adversary
+// runs are defined in internal/experiment.
 //
 // Usage:
 //
@@ -16,104 +12,25 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"hiconc/internal/adversary"
-	"hiconc/internal/hicheck"
-	"hiconc/internal/registers"
+	"hiconc/internal/experiment"
 )
 
 var (
-	expFlag    = flag.String("exp", "all", "experiments to run: E4, E5 or 'all'")
+	expFlag    = flag.String("exp", "all", experiment.Usage(experiment.Starve))
 	roundsFlag = flag.Int("rounds", 1000, "maximum adversary rounds")
 )
 
 func main() {
 	flag.Parse()
-	if !runSelected() {
+	if err := runSelected(); err != nil {
+		fmt.Fprintln(os.Stderr, "histarve:", err)
 		os.Exit(1)
 	}
 }
 
-// runSelected runs the experiments named by -exp and reports overall
-// success (split from main so the smoke tests can drive it in-process).
-func runSelected() bool {
-	want := map[string]bool{}
-	for _, e := range strings.Split(*expFlag, ",") {
-		want[strings.ToUpper(strings.TrimSpace(e))] = true
-	}
-	all := want["ALL"]
-	ok := true
-	if all || want["E4"] {
-		ok = runE4() && ok
-	}
-	if all || want["E5"] {
-		ok = runE5() && ok
-	}
-	return ok
-}
-
-func runE4() bool {
-	fmt.Println("=== E4: Theorem 17 adversary (K-valued register from binary registers)")
-	fmt.Printf("%8s %8s %-50s\n", "K", "rounds", "outcome")
-	ok := true
-	for _, k := range []int{3, 4, 5} {
-		h := registers.NewAlg2(k, 1)
-		canon, err := hicheck.BuildCanon(h, 1, 400)
-		if err != nil {
-			fmt.Println("  canon:", err)
-			return false
-		}
-		res, err := adversary.Run(h, adversary.RegisterConfig(k), canon, *roundsFlag)
-		if err != nil {
-			fmt.Println("  run:", err)
-			return false
-		}
-		fmt.Printf("%8d %8d alg2: %v\n", k, res.Rounds, res)
-		ok = ok && res.Starved
-	}
-	h := registers.NewAlg4(3, 1)
-	canon, err := hicheck.BuildCanon(h, 1, 800)
-	if err != nil {
-		fmt.Println("  canon:", err)
-		return false
-	}
-	res, err := adversary.Run(h, adversary.RegisterConfig(3), canon, *roundsFlag)
-	if err != nil {
-		fmt.Println("  run:", err)
-		return false
-	}
-	fmt.Printf("%8d %8d alg4: %v\n", 3, res.Rounds, res)
-	ok = ok && !res.Starved
-	if ok {
-		fmt.Println("  conclusion: the adversary starves the state-quiescent HI implementation")
-		fmt.Println("  (so it cannot be wait-free) and is defeated by the quiescent-HI-only one.")
-	}
-	return ok
-}
-
-func runE5() bool {
-	fmt.Println("=== E5: Theorem 20 adversary (queue with Peek from binary registers)")
-	fmt.Printf("%8s %8s %-50s\n", "t", "rounds", "outcome")
-	ok := true
-	for _, t := range []int{2, 3, 4} {
-		h := registers.NewHIQueue(t, 2)
-		canon, err := hicheck.BuildCanon(h, 2, 1500)
-		if err != nil {
-			fmt.Println("  canon:", err)
-			return false
-		}
-		res, err := adversary.Run(h, adversary.QueueConfig(t), canon, *roundsFlag)
-		if err != nil {
-			fmt.Println("  run:", err)
-			return false
-		}
-		fmt.Printf("%8d %8d hiqueue: %v\n", t, res.Rounds, res)
-		ok = ok && res.Starved
-	}
-	if ok {
-		fmt.Println("  conclusion: Peek starves — no wait-free state-quiescent HI queue")
-		fmt.Println("  with Peek exists over base objects with fewer than t+1 states.")
-	}
-	return ok
+// runSelected runs the experiments named by -exp (split from main so the
+// smoke tests can drive it in-process).
+func runSelected() error {
+	return experiment.Run(experiment.Starve, *expFlag, &experiment.Config{Rounds: *roundsFlag})
 }

@@ -56,7 +56,7 @@
 //     twins and native sync/atomic ports (Set, Map). Since E26 the
 //     native read path is SWAR word-parallel, bounds its validation
 //     retries (falling back to helping after K failures) and runs
-//     allocation-free, with the pre-E26 scalar probe kept as a
+//     allocation-free, with scalar slot classifiers kept as a
 //     differential-testing reference;
 //   - internal/obj — the user-facing objects (Counter, Register,
 //     MaxRegister, Queue, Stack, Set, ShardedSet, ShardedMap, HashSet,
@@ -92,8 +92,13 @@
 //     the escape-audit gate that proves the declared lookup hot paths
 //     compile with zero heap escapes; cmd/hilint runs it all and CI
 //     gates on it;
+//   - internal/experiment — the experiment registry: one table of the
+//     families E1-E26 and one file per family holding hiverify's check,
+//     hibench's measurement, hitrace's render and histarve's adversary,
+//     plus the one -exp parser all four drivers share;
 //   - cmd/hiverify, cmd/histarve, cmd/hibench, cmd/hitrace — the
-//     experiment drivers (see EXPERIMENTS.md).
+//     experiment drivers: their flags and plumbing around the registry
+//     (see EXPERIMENTS.md).
 //
 // This file's directory also hosts the root benchmark harness
 // (bench_test.go), with one benchmark family per experiment.

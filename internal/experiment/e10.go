@@ -1,4 +1,4 @@
-package main
+package experiment
 
 import (
 	"fmt"
@@ -9,11 +9,14 @@ import (
 	"hiconc/internal/workload"
 )
 
-func runE10() {
+// measureE10 times the SWSR register algorithms: write/read latency vs
+// K, and reader retry behaviour under a write storm (lock-free
+// Algorithm 2 vs wait-free Algorithm 4).
+func measureE10(c *Config) error {
 	fmt.Println("=== E10: SWSR register algorithms (native, single writer + single reader)")
 	fmt.Printf("%6s %12s %12s %12s %12s %12s\n", "K", "alg1 wr", "alg2 wr", "alg4 wr", "alg2 rd", "alg4 rd")
 	for _, k := range []int{4, 16, 64, 256} {
-		n := *opsFlag
+		n := c.Ops
 		g := workload.NewGen(1)
 		writes := g.RegisterWrites(n, k)
 
@@ -47,11 +50,11 @@ func runE10() {
 		})
 		fmt.Printf("%6d %12s %12s %12s %12s %12s\n", k,
 			perOp(t1, n), perOp(t2, n), perOp(t4, n), perOp(t2r, n), perOp(t4r, n))
-		recordPerOp("E10", fmt.Sprintf("alg1-write/K=%d", k), t1, n)
-		recordPerOp("E10", fmt.Sprintf("alg2-write/K=%d", k), t2, n)
-		recordPerOp("E10", fmt.Sprintf("alg4-write/K=%d", k), t4, n)
-		recordPerOp("E10", fmt.Sprintf("alg2-read/K=%d", k), t2r, n)
-		recordPerOp("E10", fmt.Sprintf("alg4-read/K=%d", k), t4r, n)
+		c.Rec.RecordPerOp("E10", fmt.Sprintf("alg1-write/K=%d", k), t1, n)
+		c.Rec.RecordPerOp("E10", fmt.Sprintf("alg2-write/K=%d", k), t2, n)
+		c.Rec.RecordPerOp("E10", fmt.Sprintf("alg4-write/K=%d", k), t4, n)
+		c.Rec.RecordPerOp("E10", fmt.Sprintf("alg2-read/K=%d", k), t2r, n)
+		c.Rec.RecordPerOp("E10", fmt.Sprintf("alg4-read/K=%d", k), t4r, n)
 	}
 
 	fmt.Println("\n    reader under a write storm (K=64):")
@@ -59,12 +62,13 @@ func runE10() {
 	for _, impl := range []string{"alg2", "alg4"} {
 		reads, retries := writeStorm(impl, 64, 200*time.Millisecond)
 		fmt.Printf("%12s %14.0f %14.4f\n", impl, reads, retries)
-		record("E10", impl+"-storm-reads", "reads/sec", reads)
-		record("E10", impl+"-storm-retries", "retries/read", retries)
+		c.Rec.Record("E10", impl+"-storm-reads", "reads/sec", reads)
+		c.Rec.Record("E10", impl+"-storm-retries", "retries/read", retries)
 	}
 	fmt.Println("    (Algorithm 2's reader retries and can starve; Algorithm 4's reader")
 	fmt.Println("     is helped by the writer and never retries more than twice)")
 	fmt.Println()
+	return nil
 }
 
 // writeStorm hammers the register with writes while the reader reads for

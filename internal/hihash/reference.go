@@ -1,10 +1,9 @@
 package hihash
 
-// The scalar reference read path, kept alongside the SWAR one for two
-// jobs: the differential tests (FuzzSWARMatch and the exhaustive pattern
-// tests pin every SWAR classifier bit-for-bit against these loops), and
-// experiment E26, which measures the pre-SWAR unbounded-retry lookup as
-// its baseline. Nothing on the hot path calls into this file.
+// The scalar reference classifiers, kept alongside the SWAR ones for the
+// differential tests: FuzzSWARMatch and the exhaustive pattern tests pin
+// every SWAR classifier bit-for-bit against these loops. Nothing on the
+// hot path calls into this file.
 
 // scalarFind is the reference slot matcher: the slot index of key in w
 // (marked or not), or -1, by extract-and-compare.
@@ -67,85 +66,4 @@ func scalarAnyMarked(w uint64) int {
 // flags, at least one empty slot, not drained.
 func scalarClean(w uint64) bool {
 	return w != gone && scalarZeros(w) > 0 && scalarFlags(w) == 0 && scalarMarks(w) == 0
-}
-
-// referenceScan is one slice-collecting pass of the pre-E26 probe scan:
-// it reads along key's run until a clean group (or a full cycle),
-// recording every word for validation.
-func referenceScan(st *tableState, key int, treatGoneFull bool) (groups []int, words []uint64, found, sawGone bool) {
-	G := len(st.groups)
-	g := GroupOf(key, G)
-	for dist := 0; dist < G; dist++ {
-		w := st.groups[g].Load()
-		groups = append(groups, g)
-		words = append(words, w)
-		if w == gone {
-			sawGone = true
-			if !treatGoneFull {
-				return
-			}
-			g = (g + 1) % G
-			continue
-		}
-		if scalarFind(w, key) >= 0 {
-			found = true
-			return
-		}
-		if scalarClean(w) {
-			return
-		}
-		g = (g + 1) % G
-	}
-	return
-}
-
-// referenceMatches re-reads a referenceScan's words.
-func referenceMatches(st *tableState, groups []int, words []uint64) bool {
-	for i, g := range groups {
-		if st.groups[g].Load() != words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainsReference is the pre-E26 read path of the displacing table — a
-// scalar-matching, slice-collecting, unbounded-retry validated double
-// collect — retained verbatim as the measured baseline of experiment
-// E26. It is correct (the E26 sweep answers from it too) but slower: it
-// allocates its collect records, compares slots one at a time, and
-// under update churn retries without bound instead of helping. It
-// panics for the bounded table, which never had this path.
-func (s *Set) ContainsReference(key int) bool {
-	s.checkKey(key)
-	if !s.displaced {
-		panic("hihash: ContainsReference on a bounded table")
-	}
-	for {
-		st := s.st.Load()
-		p := st.prev.Load()
-		var oldGroups []int
-		var oldWords []uint64
-		if p != nil {
-			var found bool
-			oldGroups, oldWords, found, _ = referenceScan(p, key, true)
-			if found {
-				return true
-			}
-		}
-		groups, words, found, sawGone := referenceScan(st, key, false)
-		if found {
-			return true
-		}
-		if sawGone || !referenceMatches(st, groups, words) {
-			continue
-		}
-		if p != nil && !referenceMatches(p, oldGroups, oldWords) {
-			continue
-		}
-		if s.st.Load() != st || st.prev.Load() != p {
-			continue
-		}
-		return false
-	}
 }
