@@ -43,6 +43,7 @@ import (
 	"hiconc/internal/benchfmt"
 	"hiconc/internal/experiment"
 	"hiconc/internal/hirec"
+	"hiconc/internal/histats"
 )
 
 var (
@@ -113,9 +114,10 @@ func run() (retErr error) {
 		}
 	}
 	if *recordFlag != "" {
-		flight := hirec.Enable(1 << 15)
+		flight := hirec.NewRecorder(1 << 15)
+		histats.Record(flight)
 		defer func() {
-			hirec.Disable()
+			histats.Record(nil)
 			if werr := writeFlightTrace(*recordFlag, flight.Snapshot()); werr != nil && retErr == nil {
 				retErr = werr
 			}

@@ -33,7 +33,7 @@ func startHTTP(addr string) error {
 		_ = histats.WriteText(w, r.Snapshot())
 	})
 	http.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
-		r := hirec.Active()
+		r := histats.Recording()
 		if r == nil {
 			http.Error(w, "flight recorder disabled (run with -record)", http.StatusServiceUnavailable)
 			return

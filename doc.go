@@ -64,12 +64,12 @@
 //   - internal/faultinject — the executable HI adversary: deterministic
 //     crash injection at the tables' labeled protocol steppoints, raw
 //     memory dumps and the canonical-distance differ (E23);
-//   - internal/hook — the shared global-observer idiom: a generic
-//     atomic hook point with install/uninstall swap semantics, used by
-//     the steppoint hook, histats and hirec;
+//   - internal/hook — the global-observer idiom: a generic atomic
+//     hook point with install/uninstall swap semantics;
 //   - internal/histats — the observability layer: per-goroutine-sharded
-//     atomic counters and log-bucketed latency histograms behind one
-//     global hook pointer, so the disabled path is a single atomic
+//     atomic counters and log-bucketed latency histograms, and the one
+//     observer slot (metrics, flight recorder, steppoint hook) that
+//     every site loads once, so the disabled path is a single atomic
 //     nil-check; metrics live outside the HI boundary by construction
 //     and by machine check (E24);
 //   - internal/hirec — the flight recorder: lock-free per-goroutine

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"hiconc/internal/core"
-	"hiconc/internal/hirec"
 	"hiconc/internal/histats"
 	"hiconc/internal/spec"
 )
@@ -257,19 +256,16 @@ func (u *Universal) applyUpdate(i int, op core.Op) int {
 			}
 			if u.head.SC(i, next) { // Line 14
 				if combined {
-					histats.Inc(histats.CtrCombineBatch)
+					histats.Step(histats.CtrCombineBatch)
 					histats.Observe(histats.HistBatchSize, uint64(next.numRecs()))
-					hirec.Step("combine-batch")
 				}
 				if helped {
-					histats.Inc(histats.CtrUniversalHelp)
-					hirec.Step("universal-help")
+					histats.Step(histats.CtrUniversalHelp)
 				}
 				*prio = (*prio + 1) % u.n // Line 15
 				contended = false
 			} else {
-				histats.Inc(histats.CtrHeadRetry)
-				hirec.Step("head-retry")
+				histats.Step(histats.CtrHeadRetry)
 				contended = true
 			}
 			continue

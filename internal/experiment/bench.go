@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"hiconc/internal/conc"
 	"hiconc/internal/core"
 	"hiconc/internal/hihash"
+	"hiconc/internal/histats"
 	"hiconc/internal/obj"
 	"hiconc/internal/spec"
 	"hiconc/internal/workload"
@@ -149,23 +151,37 @@ type abRun struct {
 	run  func() time.Duration
 }
 
-// siteCalls is how many disabled observer-site calls the loop passed to
-// observerAB makes, inline, so the price carries no call overhead.
+// siteCalls is how many disabled observer-site calls observerAB times to
+// price one; the site inlines, so the price carries no call overhead.
 const siteCalls = 5_000_000
 
-// observerAB prices one disabled site of an observer by timing loop,
-// then times each workload with the observer off and again between on
-// and off, and prints and records the A/B. It returns the computed
-// disabled-path overhead of the first workload: sites disabled calls
-// per operation over its per-op CPU time, one wall nanosecond being par
-// CPU nanoseconds when its n goroutines share GOMAXPROCS CPUs. That
-// bound, not the measured A/B difference, is what overheadGate checks:
-// two noisy wall-clock runs differ by more than the budget, while the
-// computed bound is a stable worst case.
-func (c *Config) observerAB(exp, onName string, sites, n int, loop, on, off func(), runs ...abRun) float64 {
-	siteNs := float64(timeIt(loop).Nanoseconds()) / siteCalls
-	fmt.Printf("\n    disabled site (atomic load + branch): %.2f ns/call\n", siteNs)
-	c.Rec.Record(exp, "site/disabled", "ns/call", siteNs)
+// observerAB computes the first workload's disabled-path overhead five
+// times, then times each workload with the observers off and between on
+// and off, and prints and records the A/B. A round times histats.Step,
+// the site every protocol CAS passes, then the first workload: sites
+// such calls per operation over its per-op CPU time (par CPUs share the
+// wall clock). overheadGate checks the median round, not the noisy A/B.
+func (c *Config) observerAB(exp, onName string, sites, n int, on, off func(), runs ...abRun) float64 {
+	const rounds = 5
+	par := min(runtime.GOMAXPROCS(0), n)
+	var siteNs, computed [rounds]float64
+	fmt.Printf("\n    disabled-path overhead, %d sites/op (one disabled site: atomic load + branch):\n", sites)
+	fmt.Printf("%12s %14s %14s %12s\n", "round", "site ns/call", runs[0].name+" ns/op", "computed")
+	for i := range computed {
+		siteNs[i] = float64(timeIt(func() {
+			for j := 0; j < siteCalls; j++ {
+				histats.Step(histats.CtrBoundedUpdate)
+			}
+		}).Nanoseconds()) / siteCalls
+		offNs := float64(runs[0].run().Nanoseconds()) / float64(c.Ops)
+		computed[i] = 100 * float64(sites) * siteNs[i] / (float64(par) * offNs)
+		fmt.Printf("%12d %14.2f %14.1f %11.2f%%\n", i+1, siteNs[i], offNs, computed[i])
+	}
+	slices.Sort(siteNs[:])
+	slices.Sort(computed[:])
+	med := computed[rounds/2]
+	fmt.Printf("%12s %14.2f %14s %11.2f%%\n", "median", siteNs[rounds/2], "", med)
+	c.Rec.Record(exp, "site/disabled", "ns/call", siteNs[rounds/2])
 
 	tOff := make([]time.Duration, len(runs))
 	tOn := make([]time.Duration, len(runs))
@@ -178,39 +194,36 @@ func (c *Config) observerAB(exp, onName string, sites, n int, loop, on, off func
 	}
 	off()
 
-	par := min(runtime.GOMAXPROCS(0), n)
-	offNs := float64(tOff[0].Nanoseconds()) / float64(c.Ops)
-	computed := 100 * float64(sites) * siteNs / (float64(par) * offNs)
 	fmt.Printf("\n    disabled vs %s (ns/op; measured delta is wall-clock noise,\n", onName)
-	fmt.Println("    the computed bound is what the gate checks):")
+	fmt.Println("    the median computed bound is what the gate checks):")
 	fmt.Printf("%12s %12s %12s %12s %12s\n", "workload", "disabled", onName, "measured", "computed")
 	for i, r := range runs {
 		measured := 100 * float64(tOn[i]-tOff[i]) / float64(tOff[i])
 		cell := "-"
 		if i == 0 {
-			cell = fmt.Sprintf("%.2f%%", computed)
+			cell = fmt.Sprintf("%.2f%%", med)
 		}
 		fmt.Printf("%12s %12s %12s %11.1f%% %12s\n", r.name, perOp(tOff[i], c.Ops), perOp(tOn[i], c.Ops), measured, cell)
 		c.Rec.RecordPerOp(exp, r.name+"/disabled", tOff[i], c.Ops)
 		c.Rec.RecordPerOp(exp, r.name+"/"+onName, tOn[i], c.Ops)
 		c.Rec.Record(exp, r.name+"/measured-overhead", "percent", measured)
 	}
-	c.Rec.Record(exp, runs[0].name+"/computed-overhead", "percent", computed)
-	return computed
+	c.Rec.Record(exp, runs[0].name+"/computed-overhead", "percent", med)
+	return med
 }
 
-// overheadGate checks a computed disabled-path overhead against
-// -maxoverhead. A race build prints the figure but does not gate it:
+// overheadGate checks the median computed disabled-path overhead
+// against -maxoverhead. A race build prints the figure but does not gate it:
 // the race detector instruments the very atomic load a disabled site
 // costs, so under it the figure prices the detector, not the site.
 func (c *Config) overheadGate(computed float64) error {
 	switch {
 	case raceBuild:
-		fmt.Printf("    gate: computed disabled-path overhead %.2f%% not gated under the race detector\n", computed)
+		fmt.Printf("    gate: median computed disabled-path overhead %.2f%% not gated under the race detector\n", computed)
 	case computed > c.MaxOverhead:
-		return fmt.Errorf("computed disabled-path overhead %.2f%% exceeds -maxoverhead %.2f%%", computed, c.MaxOverhead)
+		return fmt.Errorf("median computed disabled-path overhead %.2f%% exceeds -maxoverhead %.2f%%", computed, c.MaxOverhead)
 	default:
-		fmt.Printf("    gate: computed disabled-path overhead %.2f%% <= %.2f%% budget\n", computed, c.MaxOverhead)
+		fmt.Printf("    gate: median computed disabled-path overhead %.2f%% <= %.2f%% budget\n", computed, c.MaxOverhead)
 	}
 	return nil
 }

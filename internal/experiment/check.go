@@ -11,6 +11,7 @@ import (
 	"hiconc/internal/faultinject"
 	"hiconc/internal/hihash"
 	"hiconc/internal/hirec"
+	"hiconc/internal/histats"
 	"hiconc/internal/linearize"
 	"hiconc/internal/obj"
 	"hiconc/internal/spec"
@@ -34,7 +35,8 @@ func look(v int) core.Op { return core.Op{Name: spec.OpLookup, Arg: v} }
 // recordRun runs body(pid) on n goroutines under a fresh flight recorder
 // with capPerLane events per lane and returns the recording.
 func recordRun(capPerLane, n int, body func(pid int)) hirec.Recording {
-	flight := hirec.Enable(capPerLane)
+	flight := hirec.NewRecorder(capPerLane)
+	histats.Record(flight)
 	var wg sync.WaitGroup
 	for pid := 0; pid < n; pid++ {
 		wg.Add(1)
@@ -44,7 +46,7 @@ func recordRun(capPerLane, n int, body func(pid int)) hirec.Recording {
 		}(pid)
 	}
 	wg.Wait()
-	hirec.Disable()
+	histats.Record(nil)
 	return flight.Snapshot()
 }
 

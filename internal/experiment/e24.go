@@ -11,18 +11,16 @@ import (
 	"hiconc/internal/trace"
 )
 
-// e24Sites is the per-operation hot-site budget of the instrumented
-// stack: a successful displacing update fires at most one steppoint
-// mirror (Inc) plus one probe-length Observe, and lookups fire nothing
-// (see DESIGN.md, "Observability outside the HI boundary"). The E24
-// gate multiplies this by the measured per-site cost.
+// e24Sites is the per-operation hot-site budget of a raw-set update,
+// every disabled site it passes: one Step and one probe-length Observe
+// (lookups pass none; DESIGN.md, "Observability outside the HI
+// boundary"). The E24 gate multiplies it by one disabled site's price.
 const e24Sites = 2
 
-// measureE24 measures the histats metrics layer itself: the unit price
-// of a disabled site, a disabled-vs-enabled A/B over the E21/E22-shaped
-// workloads with the machine-checked bound on the computed
-// disabled-path overhead, the protocol-event distributions the enabled
-// run gathers, and the raw-dump identity check that metrics stay
+// measureE24 measures the histats metrics layer itself: a
+// disabled-vs-enabled A/B over the E21/E22-shaped workloads with the
+// gated disabled-path overhead, the protocol-event distributions the
+// enabled run gathers, and the raw-dump identity check that metrics stay
 // outside the HI boundary.
 func measureE24(c *Config) error {
 	fmt.Println("=== E24: observability — the cost of the metrics layer (internal/histats)")
@@ -42,11 +40,6 @@ func measureE24(c *Config) error {
 	var r *histats.Recorder
 	var snap *histats.Snapshot
 	computed := c.observerAB("E24", "enabled", e24Sites, n,
-		func() {
-			for i := 0; i < siteCalls; i++ {
-				histats.Inc(histats.CtrHashCASFail)
-			}
-		},
 		func() { r = histats.Enable() },
 		func() { snap = r.Snapshot(); histats.Disable() },
 		abRun{"set", runSet}, abRun{"map", runMap})

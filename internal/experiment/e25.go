@@ -9,6 +9,7 @@ import (
 	"hiconc/internal/faultinject"
 	"hiconc/internal/hihash"
 	"hiconc/internal/hirec"
+	"hiconc/internal/histats"
 	"hiconc/internal/obj"
 	"hiconc/internal/trace"
 )
@@ -21,7 +22,7 @@ import (
 // twins. A corrupted recording must be rejected before it reaches the
 // checker.
 func checkE25(*Config) error {
-	defer hirec.Disable()
+	defer histats.Record(nil)
 
 	// (a) A recorded concurrent stress run on the API-layer hash set,
 	// sized to fit the exhaustive checker's 64-operation cap.
@@ -52,13 +53,13 @@ func checkE25(*Config) error {
 	// linearize or drop — and the verdict must still hold.
 	heavy := hihash.KeysHomingAt(domain, 2, 0, hihash.SlotsPerGroup+1)
 	cs := obj.NewHashSetWithGroups(domain, 2)
-	flight := hirec.Enable(1 << 12)
-	for _, k := range heavy[1:] {
-		cs.Insert(k)
-	}
-	fired := faultinject.RunKilled(faultinject.Plan{Point: hihash.SpMarkSet, Occurrence: 1}, func() { cs.Insert(heavy[0]) })
-	hirec.Disable()
-	crashRec := flight.Snapshot()
+	var fired bool
+	crashRec := recordRun(1<<12, 1, func(int) {
+		for _, k := range heavy[1:] {
+			cs.Insert(k)
+		}
+		fired = faultinject.RunKilled(faultinject.Plan{Point: hihash.SpMarkSet, Occurrence: 1}, func() { cs.Insert(heavy[0]) })
+	})
 	if !fired {
 		return errors.New("crash schedule: the displacing insert never reached mark-set")
 	}
@@ -87,20 +88,18 @@ func checkE25(*Config) error {
 	return nil
 }
 
-// e25Sites is the per-operation hot-site budget of the recorded stack:
-// one OpStart, one OpEnd, and at most one protocol step per successful
-// update on the obj.HashSet path. The E25 gate multiplies this by the
-// measured cost of one disabled recording site.
-const e25Sites = 3
+// e25Sites is the per-operation hot-site budget of an obj.HashSet
+// insert, every disabled site it passes: Invoke, hirec.OpEnd, one Step
+// and the probe-length Observe of every completed insert. The E25 gate
+// multiplies this by the measured price of one disabled site.
+const e25Sites = 4
 
 // measureE25 measures the flight recorder itself and machine-checks what
-// it captures: the unit price of a disabled recording site, a
-// disabled-vs-recording A/B over an E21-shaped workload on the API-layer
-// hash set (where the invoke/return sites live) with the machine-checked
-// bound on the computed disabled-path overhead, then a recorded
-// concurrent run whose extracted history must pass the linearizability
-// checker, a corrupted recording that must be rejected, and the raw-dump
-// identity check that recording stays outside the HI boundary.
+// it captures: a disabled-vs-recording A/B over an E21-shaped workload
+// on the API-layer hash set with the gated disabled-path overhead, a
+// recorded concurrent run whose history must be linearizable, a
+// corrupted recording that must be rejected, and the raw-dump identity
+// check that recording stays outside the HI boundary.
 func measureE25(c *Config) error {
 	fmt.Println("=== E25: flight recorder — record native executions, machine-check them (internal/hirec)")
 	const n, domain = 8, 8192
@@ -108,8 +107,8 @@ func measureE25(c *Config) error {
 	// E25 measures its own enable/disable transitions, so a recorder
 	// installed by -record is suspended for the duration and restored
 	// after (its lanes would otherwise swallow this experiment's traffic).
-	if suspended := hirec.Disable(); suspended != nil {
-		defer hirec.EnableWith(suspended)
+	if suspended := histats.Record(nil); suspended != nil {
+		defer histats.Record(suspended)
 	}
 
 	mixes := zipfSet(n, domain, 1.01, 0.1)
@@ -117,13 +116,8 @@ func measureE25(c *Config) error {
 		return runPerKey(preload(objSet{obj.NewHashSet(domain)}, domain/4), n, c.Ops/n, mixes)
 	}
 	computed := c.observerAB("E25", "recording", e25Sites, n,
-		func() {
-			for i := 0; i < siteCalls; i++ {
-				hirec.Step("bounded-update")
-			}
-		},
-		func() { hirec.Enable(1 << 15) },
-		func() { hirec.Disable() },
+		func() { histats.Record(hirec.NewRecorder(1 << 15)) },
+		func() { histats.Record(nil) },
 		abRun{"set", runSet})
 
 	// Record a real concurrent run and machine-check it: six goroutines
@@ -143,7 +137,7 @@ func measureE25(c *Config) error {
 	fmt.Printf("    corrupted recording rejected by extraction: %v\n", corruptRejected)
 	c.Rec.Record("E25", "check/corrupt-rejected", "bool", b2f(corruptRejected))
 
-	gateErr := c.dumpBoundary("E25", "recording", func() { hirec.Enable(1 << 12) }, func() { hirec.Disable() })
+	gateErr := c.dumpBoundary("E25", "recording", func() { histats.Record(hirec.NewRecorder(1 << 12)) }, func() { histats.Record(nil) })
 	if checkErr != nil {
 		gateErr = errors.Join(gateErr, fmt.Errorf("recorded native execution: %w", checkErr))
 	}

@@ -30,11 +30,11 @@ func TestInstrumentedDumpsIdentical(t *testing.T) {
 	instrument := func(on bool) {
 		if on {
 			histats.EnableWith(r)
-			hirec.EnableWith(flight)
+			histats.Record(flight)
 			hihash.SetStepHook(hook)
 		} else {
 			histats.Disable()
-			hirec.Disable()
+			histats.Record(nil)
 			hihash.SetStepHook(nil)
 		}
 	}

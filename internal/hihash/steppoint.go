@@ -1,10 +1,6 @@
 package hihash
 
-import (
-	"hiconc/internal/hirec"
-	"hiconc/internal/histats"
-	"hiconc/internal/hook"
-)
+import "hiconc/internal/histats"
 
 // Steppoints label the shared-memory transitions of the native table's
 // protocols — the instants at which a crashing thread can abandon the
@@ -24,6 +20,7 @@ import (
 // exactly why it is perfectly HI.
 //
 // internal/faultinject builds on these hooks; see EXPERIMENTS.md E23.
+// Each steppoint is the histats counter of the same name and value.
 
 // Steppoint identifies one labeled protocol step.
 type Steppoint uint8
@@ -32,119 +29,72 @@ type Steppoint uint8
 const (
 	// SpBoundedUpdate: a bounded-mode insert or remove CAS landed (the
 	// whole update — there is no intermediate window to crash in).
-	SpBoundedUpdate Steppoint = iota
+	SpBoundedUpdate = Steppoint(histats.CtrBoundedUpdate)
 	// SpMarkSet: a relocation mark was planted on a resident key (Robin
 	// Hood eviction, stranded-key pull-back, or backward-shift pull-back).
-	SpMarkSet
+	SpMarkSet = Steppoint(histats.CtrMarkSet)
 	// SpDestWritten: a displaced key's new copy landed in its destination
 	// group (empty-slot claim or flagged-hole claim), before the
 	// post-placement reachability validation ran.
-	SpDestWritten
+	SpDestWritten = Steppoint(histats.CtrDestWritten)
 	// SpEvictSwap: an eviction's stale mark was swapped for the incoming
 	// key in one CAS (finishEvict), or an obsolete relocation was
 	// cancelled in place.
-	SpEvictSwap
+	SpEvictSwap = Steppoint(histats.CtrEvictSwap)
 	// SpSourceCleared: a completed relocation released its stale source
 	// slot into a restore flag, before the backward shift ran.
-	SpSourceCleared
+	SpSourceCleared = Steppoint(histats.CtrSourceCleared)
 	// SpFlagPlaced: a remove released its key's slot into a restore flag,
 	// before the backward shift ran.
-	SpFlagPlaced
+	SpFlagPlaced = Steppoint(histats.CtrFlagPlaced)
 	// SpFlagCleared: a backward shift cleared a restore flag whose hole no
 	// displaced key had crossed.
-	SpFlagCleared
+	SpFlagCleared = Steppoint(histats.CtrFlagCleared)
 	// SpGrowPublished: a grow published the doubled group array, before
 	// any old group drained.
-	SpGrowPublished
+	SpGrowPublished = Steppoint(histats.CtrGrowPublished)
 	// SpDrainCopied: a migration drain placed an old key's copy in the
 	// current array, before the old copy was dropped (the key is
 	// momentarily in both arrays).
-	SpDrainCopied
+	SpDrainCopied = Steppoint(histats.CtrDrainCopied)
 	// SpDrainDropped: a migration drain released an old-group slot (a
 	// migrated key's stale copy, or a restore flag the migration
 	// supersedes).
-	SpDrainDropped
+	SpDrainDropped = Steppoint(histats.CtrDrainDropped)
 	// SpGonePlaced: a fully drained old group was stamped with the gone
 	// sentinel.
-	SpGonePlaced
+	SpGonePlaced = Steppoint(histats.CtrGonePlaced)
 
 	// NumSteppoints bounds the enumeration (for iterating crash matrices).
-	NumSteppoints
+	NumSteppoints = SpGonePlaced + 1
 )
-
-var steppointNames = [NumSteppoints]string{
-	SpBoundedUpdate: "bounded-update",
-	SpMarkSet:       "mark-set",
-	SpDestWritten:   "dest-written",
-	SpEvictSwap:     "evict-swap",
-	SpSourceCleared: "source-cleared",
-	SpFlagPlaced:    "flag-placed",
-	SpFlagCleared:   "flag-cleared",
-	SpGrowPublished: "grow-published",
-	SpDrainCopied:   "drain-copied",
-	SpDrainDropped:  "drain-dropped",
-	SpGonePlaced:    "gone-placed",
-}
 
 // String implements fmt.Stringer.
 func (p Steppoint) String() string {
-	if int(p) < len(steppointNames) {
-		return steppointNames[p]
+	if p < NumSteppoints {
+		return histats.Counter(p).String()
 	}
 	return "steppoint(?)"
 }
-
-// stepHook is the installed observer, empty when none. It is a
-// hook.Point so tests can install and remove hooks while table
-// goroutines run; the indirection through *func keeps the load
-// race-free.
-var stepHook hook.Point[func(Steppoint)]
 
 // SetStepHook installs fn as the global steppoint observer (nil removes
 // it). The hook is called synchronously on the goroutine that performed
 // the protocol step, immediately after its CAS succeeded; it may block
 // the goroutine (parking it in the window) or kill it via runtime.Goexit
 // (crashing it there). Intended for fault-injection tests
-// (internal/faultinject); production code leaves it nil, costing one
-// atomic load per protocol step.
+// (internal/faultinject); production code leaves it nil. Steps counted
+// outside this table (internal/conc) do not reach fn.
 func SetStepHook(fn func(Steppoint)) {
-	if fn == nil {
-		stepHook.Uninstall()
-		return
+	var hook func(histats.Counter)
+	if fn != nil {
+		hook = func(c histats.Counter) {
+			if p := Steppoint(c); p < NumSteppoints {
+				fn(p)
+			}
+		}
 	}
-	stepHook.Install(&fn)
+	histats.SetStepHook(hook)
 }
 
-// stepCounter maps each steppoint to its histats mirror, so the metrics
-// layer counts protocol steps without a second enumeration. The
-// observers are independent globals (each an internal/hook point):
-// faultinject owns the step hook, histats owns its recorder pointer,
-// hirec owns the flight recorder, and any may be installed without the
-// others.
-var stepCounter = [NumSteppoints]histats.Counter{
-	SpBoundedUpdate: histats.CtrBoundedUpdate,
-	SpMarkSet:       histats.CtrMarkSet,
-	SpDestWritten:   histats.CtrDestWritten,
-	SpEvictSwap:     histats.CtrEvictSwap,
-	SpSourceCleared: histats.CtrSourceCleared,
-	SpFlagPlaced:    histats.CtrFlagPlaced,
-	SpFlagCleared:   histats.CtrFlagCleared,
-	SpGrowPublished: histats.CtrGrowPublished,
-	SpDrainCopied:   histats.CtrDrainCopied,
-	SpDrainDropped:  histats.CtrDrainDropped,
-	SpGonePlaced:    histats.CtrGonePlaced,
-}
-
-// stepAt reports a completed protocol step to the installed hook, the
-// metrics layer and the flight recorder. The count and the recorded
-// event land first: the CAS has already happened, and a fault-injection
-// hook may kill the goroutine — the crash then shows up in the
-// recording as a step with no following response, exactly what the
-// post-hoc checker expects of a crashed operation.
-func stepAt(p Steppoint) {
-	histats.Inc(stepCounter[p])
-	hirec.Step(steppointNames[p])
-	if fn := stepHook.Load(); fn != nil {
-		(*fn)(p)
-	}
-}
+// stepAt reports a completed protocol step to the observers, inlined.
+func stepAt(p Steppoint) { histats.Step(histats.Counter(p)) }

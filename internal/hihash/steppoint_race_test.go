@@ -12,8 +12,8 @@ import (
 // TestHookChurnUnderTraffic races the three observer install paths — the
 // steppoint hook, the histats recorder and the hirec flight recorder —
 // against live table traffic.
-// Sites that loaded an old pointer finish against the old observer, so
-// churning both while four goroutines insert, remove, look up and grow
+// Sites that loaded an old observer set finish against it, so churning
+// all three while four goroutines insert, remove, look up and grow
 // must be race-clean (this test exists for -race), must never lose
 // table operations, and must leave no ghost window open.
 func TestHookChurnUnderTraffic(t *testing.T) {
@@ -46,21 +46,21 @@ func TestHookChurnUnderTraffic(t *testing.T) {
 		}(w)
 	}
 	wg.Add(1)
-	go func() { // churn both observers while the table runs
+	go func() { // churn all three observers while the table runs
 		defer wg.Done()
 		for i := 0; i < flips; i++ {
 			SetStepHook(hook)
 			histats.Enable()
-			hirec.Enable(1 << 12)
+			histats.Record(hirec.NewRecorder(1 << 12))
 			SetStepHook(nil)
 			histats.Disable()
-			hirec.Disable()
+			histats.Record(nil)
 		}
 	}()
 	wg.Wait()
 	SetStepHook(nil)
 	histats.Disable()
-	hirec.Disable()
+	histats.Record(nil)
 
 	// The table itself must be unharmed: every key whose last op was an
 	// insert is present.

@@ -79,12 +79,9 @@ var AllowedMethods = map[string]bool{
 //	internal/hihash/dump.go    — RawWords/RawDump read the live group
 //	                             arrays exactly as a core dump would;
 //	                             the E23 twin checks compare these bits.
-//	internal/histats/histats.go — goroutine-shard selection hashes a
-//	                             stack address (no shared-state access).
-//	internal/hirec/hirec.go    — lane selection, same stack-address
-//	                             trick as histats.
+//	internal/hirec/hirec.go    — every observer's lane pick (Lane)
+//	                             hashes a stack address.
 var UnsafeFiles = []string{
 	"internal/hihash/dump.go",
-	"internal/histats/histats.go",
 	"internal/hirec/hirec.go",
 }

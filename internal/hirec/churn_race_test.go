@@ -6,19 +6,20 @@ import (
 	"testing"
 
 	"hiconc/internal/hirec"
+	"hiconc/internal/histats"
 	"hiconc/internal/obj"
 )
 
 // TestRecorderChurnUnderTraffic mirrors hihash's hook-churn race test one
 // layer up: four goroutines hammer a HashSet (recorded at the obj layer,
 // stepping inside hihash) — including a mid-run Grow — while a fifth
-// installs and uninstalls the global flight recorder in a tight loop.
-// The point is the race detector: Enable/Disable must be safe against
-// concurrent OpStart/OpEnd/Step traffic, in-flight tokens must finish
-// against the recorder they started on, and the table must come out
-// intact. Run with -race.
+// installs and uninstalls the flight recorder in a tight loop. The
+// point is the race detector: installs must be safe against concurrent
+// invoke/return/step traffic, in-flight tokens must finish against the
+// recorder they started on, and the table must come out intact. Run
+// with -race.
 func TestRecorderChurnUnderTraffic(t *testing.T) {
-	defer hirec.Disable()
+	defer histats.Record(nil)
 	const workers = 4
 	opsPer := 3000
 	if testing.Short() {
@@ -57,14 +58,15 @@ func TestRecorderChurnUnderTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < flips; i++ {
-			r := hirec.Enable(1 << 12)
-			if hirec.Active() != r {
+			r := hirec.NewRecorder(1 << 12)
+			histats.Record(r)
+			if histats.Recording() != r {
 				// Another flip may already have swapped it, but in this
 				// test we are the only installer.
-				t.Error("Active disagrees with the recorder just installed")
+				t.Error("Recording disagrees with the recorder just installed")
 				return
 			}
-			hirec.Disable()
+			histats.Record(nil)
 		}
 	}()
 	wg.Wait()
@@ -86,11 +88,12 @@ func TestRecorderChurnUnderTraffic(t *testing.T) {
 
 	// Held-recorder sanity: with churn over, a recorded burst must
 	// extract cleanly.
-	r := hirec.Enable(1 << 12)
+	r := hirec.NewRecorder(1 << 12)
+	histats.Record(r)
 	for v := 1; v <= 16; v++ {
 		s.Insert(v)
 	}
-	hirec.Disable()
+	histats.Record(nil)
 	recs, err := hirec.Records(r.Snapshot())
 	if err != nil {
 		t.Fatalf("post-churn extraction: %v", err)

@@ -7,17 +7,15 @@
 // experiment E25) and rendered as timelines (trace.NativeTimeline, a
 // Chrome-trace export).
 //
-// The layer hangs off one global atomic hook pointer (internal/hook),
-// the same idiom as hihash.SetStepHook and histats: the disabled path of
-// every recording site is a single atomic load and a predicted branch.
-// Enabled, events land in per-goroutine lanes of preallocated buffers —
-// a slot is claimed with one atomic add, stamped with a global sequence
-// number and a coarse wall-clock timestamp, and sealed with one atomic
-// store — so recording never takes a lock and never blocks the recorded
-// protocol. A lane that fills up drops further events and counts them;
-// extraction to a checkable history refuses recordings with drops
-// (a history with holes proves nothing), while the trace exporters
-// accept them.
+// A Recorder is installed in internal/histats' observer slot
+// (histats.Record), whose sites record into it. Events land in
+// per-goroutine lanes of preallocated buffers — a slot is claimed with
+// one atomic add, stamped with a global sequence number and a coarse
+// wall-clock timestamp, and sealed with one atomic store — so recording
+// never takes a lock and never blocks the recorded protocol. A lane that
+// fills up drops further events and counts them; extraction to a
+// checkable history refuses recordings with drops (a history with holes
+// proves nothing), while the trace exporters accept them.
 //
 // Like histats, the recorder is history by definition and must live
 // outside the history-independence boundary: it never touches the
@@ -26,10 +24,9 @@
 // (TestInstrumentedDumpsIdentical, the E25 driver) to machine-check
 // that raw dumps stay bit-identical.
 //
-// All functions are safe for concurrent use. Enable and Disable may race
-// with recorded traffic: an operation whose OpStart loaded the old
-// recorder finishes against it (the Token pins the recorder), so
-// invoke/return pairs never split across recorders.
+// All methods are safe for concurrent use. An operation's response lands
+// on the recorder of its invocation (its Token pins it), even if the
+// installed recorder changed in between.
 package hirec
 
 import (
@@ -38,8 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
-
-	"hiconc/internal/hook"
 )
 
 // Kind distinguishes the recorded event types.
@@ -85,9 +80,9 @@ type Event struct {
 
 // Token pairs an OpEnd with its OpStart: it pins the recorder and lane
 // the invocation was recorded on, so the response lands on the same lane
-// with the same index even if the goroutine's stack moved or the global
-// recorder churned in between. The zero Token (disabled OpStart) makes
-// OpEnd a no-op.
+// with the same index even if the goroutine's stack moved or the
+// installed recorder churned in between. The zero Token (an invocation
+// nothing recorded) makes OpEnd a no-op.
 type Token struct {
 	r    *Recorder
 	ln   *lane
@@ -122,63 +117,20 @@ type Recorder struct {
 }
 
 // NewRecorder returns a recorder with capPerLane event slots per lane;
-// the lane count is GOMAXPROCS rounded up to a power of two, capped at
-// 64 (the histats shard sizing). Total capacity is bounded and
+// the lane count is LaneMask's. Total capacity is bounded and
 // preallocated — recording allocates nothing.
 func NewRecorder(capPerLane int) *Recorder {
 	if capPerLane < 1 {
 		capPerLane = 1
 	}
-	n := 1
-	for n < runtime.GOMAXPROCS(0) && n < 64 {
-		n *= 2
-	}
-	r := &Recorder{lanes: make([]lane, n), mask: uint64(n - 1)}
+	mask := LaneMask()
+	r := &Recorder{lanes: make([]lane, mask+1), mask: mask}
 	for i := range r.lanes {
 		r.lanes[i].id = int32(i)
 		r.lanes[i].buf = make([]Event, capPerLane)
 		r.lanes[i].seal = make([]atomic.Uint64, capPerLane)
 	}
 	return r
-}
-
-// NumLanes returns the recorder's lane count (for tests).
-func (r *Recorder) NumLanes() int { return len(r.lanes) }
-
-// active is the installed recorder (internal/hook); nil when recording
-// is disabled.
-var active hook.Point[Recorder]
-
-// Enable installs a fresh recorder with capPerLane slots per lane as the
-// global sink and returns it.
-func Enable(capPerLane int) *Recorder {
-	r := NewRecorder(capPerLane)
-	active.Install(r)
-	return r
-}
-
-// EnableWith installs r (which may be shared with direct Recorder use).
-func EnableWith(r *Recorder) { active.Install(r) }
-
-// Disable uninstalls the global recorder and returns it (nil if
-// recording was already disabled), so callers can still snapshot what
-// was captured. In-flight operations whose OpStart saw the old recorder
-// record their response against it.
-func Disable() *Recorder { return active.Uninstall() }
-
-// Active returns the installed recorder, nil when disabled.
-func Active() *Recorder { return active.Load() }
-
-// Enabled reports whether a recorder is installed.
-func Enabled() bool { return active.Enabled() }
-
-// OpStart records an operation invocation and returns the token its
-// OpEnd must present. Disabled cost: one atomic load + branch.
-func OpStart(name string, arg int) Token {
-	if r := active.Load(); r != nil {
-		return r.OpStart(name, arg)
-	}
-	return Token{}
 }
 
 // OpEnd records the response of the operation t identifies. It is a
@@ -189,28 +141,30 @@ func OpEnd(t Token, resp int) {
 	}
 }
 
-// Step records a labeled protocol step performed by the calling
-// goroutine. Disabled cost: one atomic load + branch.
-func Step(name string) {
-	if r := active.Load(); r != nil {
-		r.Step(name)
+// LaneMask sizes every observer's per-goroutine lanes (histats' shards
+// too): GOMAXPROCS rounded up to a power of two, capped at 64, less one.
+func LaneMask() uint64 {
+	n := 1
+	for n < runtime.GOMAXPROCS(0) && n < 64 {
+		n *= 2
 	}
+	return uint64(n - 1)
 }
 
-// lane picks the calling goroutine's lane by hashing a stack address
-// (distinct goroutines live on distinct stacks — the histats idiom; Go
-// has no goroutine-local storage). The mapping is a contention-spreading
-// heuristic: a stack growth may move a goroutine, and two goroutines may
-// collide, neither of which hurts correctness because operations are
-// paired by Token, not by lane.
-func (r *Recorder) lane() *lane {
+// Lane picks the calling goroutine's lane under mask by hashing a stack
+// address (goroutines live on distinct stacks; Go has no goroutine-local
+// storage). It only spreads contention: a goroutine may move and two may
+// collide, harmlessly, since every cell is atomic and Tokens pair ops.
+func Lane(mask uint64) uint64 {
 	var probe byte
 	h := uint64(uintptr(unsafe.Pointer(&probe)))
 	h ^= h >> 12
 	h *= 0x9e3779b97f4a7c15
 	h ^= h >> 29
-	return &r.lanes[h&r.mask]
+	return h & mask
 }
+
+func (r *Recorder) lane() *lane { return &r.lanes[Lane(r.mask)] }
 
 // emit claims a slot on ln, stamps ev and seals it. A full lane counts
 // the event as dropped instead of wrapping: overwriting old slots would
@@ -237,6 +191,9 @@ func (r *Recorder) OpStart(name string, arg int) Token {
 	return Token{r: r, ln: ln, idx: idx, name: name, arg: int32(arg)}
 }
 
+// opEnd stays out of line so that OpEnd inlines to the token check.
+//
+//go:noinline
 func (r *Recorder) opEnd(t Token, resp int) {
 	r.emit(t.ln, Event{Kind: KReturn, Index: t.idx, Name: t.name, Arg: t.arg, Resp: int32(resp)})
 }

@@ -4,81 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 
 	"hiconc/internal/spec"
 )
-
-// drain guards against a previous test leaving a recorder installed.
-func drain(t *testing.T) {
-	t.Helper()
-	Disable()
-	t.Cleanup(func() { Disable() })
-}
-
-func TestDisabledNoops(t *testing.T) {
-	drain(t)
-	if Enabled() || Active() != nil {
-		t.Fatal("recorder installed at test start")
-	}
-	tok := OpStart(spec.OpInsert, 7)
-	if tok.r != nil {
-		t.Fatal("disabled OpStart returned a live token")
-	}
-	OpEnd(tok, 0) // must not panic
-	Step("mark-set")
-}
-
-func TestRecordAndExtract(t *testing.T) {
-	drain(t)
-	r := Enable(1 << 10)
-	const workers, opsPer = 4, 10
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < opsPer; i++ {
-				tok := OpStart(spec.OpInsert, w*opsPer+i+1)
-				Step("bounded-update")
-				OpEnd(tok, 0)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if Disable() != r {
-		t.Fatal("Disable returned a different recorder")
-	}
-	rec := r.Snapshot()
-	if rec.Dropped != 0 {
-		t.Fatalf("dropped %d events with ample capacity", rec.Dropped)
-	}
-	wantEvents := workers * opsPer * 3 // invoke + step + return
-	if len(rec.Events) != wantEvents {
-		t.Fatalf("got %d events, want %d", len(rec.Events), wantEvents)
-	}
-	for i := 1; i < len(rec.Events); i++ {
-		if rec.Events[i].Seq <= rec.Events[i-1].Seq {
-			t.Fatalf("events not in strict Seq order at %d", i)
-		}
-	}
-	recs, err := Records(rec)
-	if err != nil {
-		t.Fatalf("Records: %v", err)
-	}
-	if len(recs) != workers*opsPer {
-		t.Fatalf("got %d op records, want %d", len(recs), workers*opsPer)
-	}
-	for _, op := range recs {
-		if !op.Completed {
-			t.Fatalf("op %v not completed after a drained run", op.Op)
-		}
-		if op.Inv >= op.Ret {
-			t.Fatalf("op %v has Inv %d >= Ret %d", op.Op, op.Inv, op.Ret)
-		}
-	}
-}
 
 func TestPendingOperation(t *testing.T) {
 	r := NewRecorder(16)
@@ -93,26 +22,6 @@ func TestPendingOperation(t *testing.T) {
 	}
 	if recs[0].Ret != 1 {
 		t.Fatalf("pending op must return after everything recorded, Ret=%d", recs[0].Ret)
-	}
-}
-
-func TestTokenPinsRecorderAcrossDisable(t *testing.T) {
-	drain(t)
-	Enable(16)
-	tok := OpStart(spec.OpInc, 1)
-	old := Disable()
-	Enable(16)     // a different recorder takes over
-	OpEnd(tok, 42) // must land on old, not the new one
-	fresh := Disable()
-	if n := len(fresh.Snapshot().Events); n != 0 {
-		t.Fatalf("new recorder captured %d events from an old token", n)
-	}
-	recs, err := Records(old.Snapshot())
-	if err != nil {
-		t.Fatalf("Records: %v", err)
-	}
-	if len(recs) != 1 || !recs[0].Completed || recs[0].Resp != 42 {
-		t.Fatalf("old recorder should hold the completed op, got %+v", recs)
 	}
 }
 

@@ -1,16 +1,15 @@
 // Package histats is the observability layer of the native HICHT stack:
 // per-goroutine-sharded atomic counters and log-bucketed latency
 // histograms for the protocol events of internal/hihash, internal/shard,
-// internal/conc and internal/obj.
+// internal/conc and internal/obj — and the stack's one observer slot.
 //
-// The whole layer hangs off one global atomic pointer (an
-// internal/hook point, the same idiom as hihash.SetStepHook and the
-// internal/hirec flight recorder): every instrumented site calls Inc,
-// Add or Observe, whose disabled path is a single atomic load and a
-// predicted branch (no recorder allocated, nothing written). Enabling
-// installs a Recorder; events then land in per-goroutine shards of
-// padded atomic cells, merged on demand by Snapshot. Experiment E24
-// measures both paths and gates the disabled-path overhead.
+// The slot (slot.go) holds the installed observers as one set: this
+// package's Recorder, the internal/hirec flight recorder and the
+// steppoint hook of hihash.SetStepHook. Every instrumented site calls
+// one function here that loads the slot once; disabled, it costs that
+// atomic load and a predicted branch. Enabled, counts land in
+// per-goroutine shards of padded atomic cells, merged on demand by
+// Snapshot. Experiments E24 and E25 gate the disabled-path overhead.
 //
 // Metrics are history by definition — a probe-length histogram is a
 // digest of the execution — so this package must live outside the
@@ -20,17 +19,15 @@
 // of instrumented tables are bit-identical to uninstrumented runs (see
 // DESIGN.md, "Observability outside the HI boundary").
 //
-// All functions are safe for concurrent use; Enable and Disable may
-// race with instrumented traffic (sites that loaded the old pointer
-// finish against the old recorder).
+// All functions are safe for concurrent use; observers may be installed
+// and removed while instrumented traffic runs (sites that loaded the old
+// set finish against it).
 package histats
 
 import (
-	"runtime"
 	"sync/atomic"
-	"unsafe"
 
-	"hiconc/internal/hook"
+	"hiconc/internal/hirec"
 )
 
 // Counter identifies one monotonically increasing event count.
@@ -38,9 +35,9 @@ type Counter uint8
 
 // The counters, grouped by layer.
 const (
-	// Protocol steppoints of the native table (hihash): each mirrors one
-	// hihash.Steppoint and is incremented by the table's stepAt, so the
-	// count is exactly "how many times that protocol CAS landed".
+	// Protocol steppoints of the native table: each is the
+	// hihash.Steppoint of the same value, counted by the table's stepAt,
+	// so the count is exactly "how many times that protocol CAS landed".
 	CtrBoundedUpdate Counter = iota
 	CtrMarkSet
 	CtrDestWritten
@@ -162,58 +159,6 @@ func (h Hist) String() string {
 	return "hist(?)"
 }
 
-// active is the installed recorder (an internal/hook point), empty when
-// metrics are disabled. It is the single global the whole layer hangs
-// off: the disabled path of every instrumented site is this load plus a
-// nil check.
-var active hook.Point[Recorder]
-
-// Enable installs a fresh Recorder as the global sink and returns it.
-// Any previously installed recorder stops receiving events (sites that
-// already loaded it finish their current write against it).
-func Enable() *Recorder {
-	r := NewRecorder()
-	active.Install(r)
-	return r
-}
-
-// EnableWith installs r (which may be shared with direct Recorder use).
-func EnableWith(r *Recorder) { active.Install(r) }
-
-// Disable uninstalls the global recorder and returns it (nil if metrics
-// were already disabled), so callers can still snapshot what was
-// gathered.
-func Disable() *Recorder { return active.Uninstall() }
-
-// Active returns the installed recorder, nil when disabled.
-func Active() *Recorder { return active.Load() }
-
-// Enabled reports whether a recorder is installed. Drivers use it to
-// skip building values that only exist to be observed (e.g. timing an
-// operation costs two clock reads — don't pay them to observe nothing).
-func Enabled() bool { return active.Enabled() }
-
-// Inc adds 1 to counter c. Disabled cost: one atomic load + branch.
-func Inc(c Counter) {
-	if r := active.Load(); r != nil {
-		r.shard().counters[c].Add(1)
-	}
-}
-
-// Add adds n to counter c.
-func Add(c Counter, n uint64) {
-	if r := active.Load(); r != nil {
-		r.shard().counters[c].Add(n)
-	}
-}
-
-// Observe records value v into histogram h.
-func Observe(h Hist, v uint64) {
-	if r := active.Load(); r != nil {
-		r.observe(h, v)
-	}
-}
-
 // cacheLine separates neighbouring shards' hot words.
 const cacheLine = 64
 
@@ -243,42 +188,30 @@ type Recorder struct {
 	mask   uint64
 }
 
-// NewRecorder returns a recorder sized to the machine: the shard count
-// is GOMAXPROCS rounded up to a power of two, capped at 64.
+// NewRecorder returns a recorder with one shard per hirec lane.
 func NewRecorder() *Recorder {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) && n < 64 {
-		n *= 2
+	mask := hirec.LaneMask()
+	return &Recorder{shards: make([]shard, mask+1), mask: mask}
+}
+
+// shard picks the calling goroutine's shard.
+func (r *Recorder) shard() *shard { return &r.shards[hirec.Lane(r.mask)] }
+
+// Inc adds n to counter c. A nil r records nothing (the sites call it
+// whether metrics are installed or not), as does Observe.
+func (r *Recorder) Inc(c Counter, n uint64) {
+	if r != nil {
+		r.shard().counters[c].Add(n)
 	}
-	return &Recorder{shards: make([]shard, n), mask: uint64(n - 1)}
 }
-
-// shard picks the calling goroutine's shard by hashing a stack address:
-// distinct goroutines live on distinct stacks, so concurrent writers
-// spread across shards without any goroutine-local storage. The mapping
-// is only a contention-spreading heuristic (a stack growth moves it);
-// every cell is atomic regardless.
-func (r *Recorder) shard() *shard {
-	var probe byte
-	h := uint64(uintptr(unsafe.Pointer(&probe)))
-	h ^= h >> 12
-	h *= 0x9e3779b97f4a7c15
-	h ^= h >> 29
-	return &r.shards[h&r.mask]
-}
-
-// Inc adds n to counter c.
-func (r *Recorder) Inc(c Counter, n uint64) { r.shard().counters[c].Add(n) }
 
 // Observe records value v into histogram h.
-func (r *Recorder) Observe(h Hist, v uint64) { r.observe(h, v) }
-
-func (r *Recorder) observe(h Hist, v uint64) {
+func (r *Recorder) Observe(h Hist, v uint64) {
+	if r == nil {
+		return
+	}
 	hs := &r.shard().hists[h]
 	hs.buckets[bucketOf(v)].Add(1)
 	hs.count.Add(1)
 	hs.sum.Add(v)
 }
-
-// NumShards returns the recorder's shard count (for tests).
-func (r *Recorder) NumShards() int { return len(r.shards) }

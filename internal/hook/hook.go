@@ -1,8 +1,7 @@
-// Package hook factors out the one-global-atomic-observer idiom that the
-// observability layers share: hihash's steppoint hook, histats' recorder
-// pointer and hirec's flight recorder each hang off a single global
-// atomic pointer, so the disabled path of every instrumented site is one
-// atomic load and a predicted branch.
+// Package hook factors out the one-global-atomic-observer idiom: an
+// observer hangs off a single global atomic pointer, so the disabled
+// path of every instrumented site is one atomic load and a predicted
+// branch. The stack has one such point: internal/histats' observer slot.
 //
 // A Point carries no synchronization beyond the pointer itself, which is
 // exactly the idiom's contract: Install and Uninstall may race with

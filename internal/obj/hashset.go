@@ -44,24 +44,21 @@ func NewHashSetWithGroups(domain, nGroups int) *HashSet {
 // inside the table, so direct hihash users pay no per-operation sites
 // at all.
 func (h *HashSet) Insert(v int) {
-	histats.Inc(histats.CtrHashInsert)
-	t := hirec.OpStart(spec.OpInsert, v)
+	t := histats.Invoke(histats.Op{Ctr: histats.CtrHashInsert, Name: spec.OpInsert}, v)
 	h.s.Insert(v)
 	hirec.OpEnd(t, 0)
 }
 
 // Remove deletes v.
 func (h *HashSet) Remove(v int) {
-	histats.Inc(histats.CtrHashRemove)
-	t := hirec.OpStart(spec.OpRemove, v)
+	t := histats.Invoke(histats.Op{Ctr: histats.CtrHashRemove, Name: spec.OpRemove}, v)
 	h.s.Remove(v)
 	hirec.OpEnd(t, 0)
 }
 
 // Contains reports whether v is in the set.
 func (h *HashSet) Contains(v int) bool {
-	histats.Inc(histats.CtrHashLookup)
-	t := hirec.OpStart(spec.OpLookup, v)
+	t := histats.Invoke(histats.Op{Ctr: histats.CtrHashLookup, Name: spec.OpLookup}, v)
 	in := h.s.Contains(v)
 	if in {
 		hirec.OpEnd(t, 1)
@@ -106,7 +103,7 @@ func NewHashMap(keys int) *HashMap {
 
 // Inc increments key's count and returns the previous count.
 func (h *HashMap) Inc(key int) int {
-	t := hirec.OpStart(spec.OpInc, key)
+	t := histats.OpStart(spec.OpInc, key)
 	prev := h.m.Inc(key)
 	hirec.OpEnd(t, prev)
 	return prev
@@ -114,7 +111,7 @@ func (h *HashMap) Inc(key int) int {
 
 // Dec decrements key's count and returns the previous count.
 func (h *HashMap) Dec(key int) int {
-	t := hirec.OpStart(spec.OpDec, key)
+	t := histats.OpStart(spec.OpDec, key)
 	prev := h.m.Dec(key)
 	hirec.OpEnd(t, prev)
 	return prev

@@ -9,6 +9,7 @@ import (
 	"hiconc/internal/core"
 	"hiconc/internal/hihash"
 	"hiconc/internal/hirec"
+	"hiconc/internal/histats"
 	"hiconc/internal/spec"
 )
 
@@ -70,7 +71,7 @@ func (s *HashSet) Apply(pid int, op core.Op) int {
 		panic(fmt.Sprintf("shard: set key %d out of range 1..%d", op.Arg, s.domain))
 	}
 	sl := s.route[op.Arg-1]
-	t := hirec.OpStart(op.Name, op.Arg)
+	t := histats.OpStart(op.Name, op.Arg)
 	rsp := s.shards[sl.shard].Apply(pid, core.Op{Name: op.Name, Arg: sl.local})
 	hirec.OpEnd(t, rsp)
 	return rsp

@@ -145,11 +145,10 @@ func (s *Set) Apply(pid int, op core.Op) int {
 		panic(fmt.Sprintf("shard: set key %d out of range 1..%d", op.Arg, s.domain))
 	}
 	sl := s.route[op.Arg-1]
-	histats.Inc(histats.CtrShardOp)
-	histats.Observe(histats.HistShardIndex, uint64(sl.shard))
 	// The flight recorder sees the caller's view of the operation (the
 	// global key), not the shard-local remapping.
-	t := hirec.OpStart(op.Name, op.Arg)
+	t := histats.Invoke(histats.Op{Ctr: histats.CtrShardOp, Name: op.Name}, op.Arg)
+	histats.Observe(histats.HistShardIndex, uint64(sl.shard))
 	rsp := s.shards[sl.shard].Apply(pid, core.Op{Name: op.Name, Arg: sl.local})
 	hirec.OpEnd(t, rsp)
 	return rsp
@@ -274,9 +273,8 @@ func (m *Map) Apply(pid int, op core.Op) int {
 		panic(fmt.Sprintf("shard: map key %d out of range 1..%d", op.Arg, m.keys))
 	}
 	sh := ShardOf(op.Arg, len(m.shards))
-	histats.Inc(histats.CtrShardOp)
+	t := histats.Invoke(histats.Op{Ctr: histats.CtrShardOp, Name: op.Name}, op.Arg)
 	histats.Observe(histats.HistShardIndex, uint64(sh))
-	t := hirec.OpStart(op.Name, op.Arg)
 	rsp := m.shards[sh].Apply(pid, op)
 	hirec.OpEnd(t, rsp)
 	return rsp
