@@ -162,6 +162,11 @@ const siteCalls = 5_000_000
 // such calls per operation over its per-op CPU time (par CPUs share the
 // wall clock). overheadGate checks the median round, not the noisy A/B.
 func (c *Config) observerAB(exp, onName string, sites, n int, on, off func(), runs ...abRun) float64 {
+	// The observers share one slot, so a -record flight recorder would put
+	// the disabled runs on the enabled path: suspend it while measuring.
+	if suspended := histats.Record(nil); suspended != nil {
+		defer histats.Record(suspended)
+	}
 	const rounds = 5
 	par := min(runtime.GOMAXPROCS(0), n)
 	var siteNs, computed [rounds]float64

@@ -13,8 +13,7 @@ import (
 
 // e24Sites is the per-operation hot-site budget of a raw-set update,
 // every disabled site it passes: one Step and one probe-length Observe
-// (lookups pass none; DESIGN.md, "Observability outside the HI
-// boundary"). The E24 gate multiplies it by one disabled site's price.
+// (lookups pass none). The E24 gate multiplies it by one site's price.
 const e24Sites = 2
 
 // measureE24 measures the histats metrics layer itself: a

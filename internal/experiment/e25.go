@@ -90,8 +90,7 @@ func checkE25(*Config) error {
 
 // e25Sites is the per-operation hot-site budget of an obj.HashSet
 // insert, every disabled site it passes: Invoke, hirec.OpEnd, one Step
-// and the probe-length Observe of every completed insert. The E25 gate
-// multiplies this by the measured price of one disabled site.
+// and a probe-length Observe. The E25 gate multiplies it likewise.
 const e25Sites = 4
 
 // measureE25 measures the flight recorder itself and machine-checks what
