@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -151,17 +152,19 @@ type abRun struct {
 	run  func() time.Duration
 }
 
-// siteCalls is how many disabled observer-site calls observerAB times to
-// price one; the site inlines, so the price carries no call overhead.
-const siteCalls = 5_000_000
+// pathCopies is how many copies of a family's disabled site sequence
+// observerAB times to price one (a multiple of every unroll factor).
+const pathCopies = 3 << 20
 
 // observerAB computes the first workload's disabled-path overhead five
 // times, then times each workload with the observers off and between on
-// and off, and prints and records the A/B. A round times histats.Step,
-// the site every protocol CAS passes, then the first workload: sites
-// such calls per operation over its per-op CPU time (par CPUs share the
-// wall clock). overheadGate checks the median round, not the noisy A/B.
-func (c *Config) observerAB(exp, onName string, sites, n int, on, off func(), runs ...abRun) float64 {
+// and off, and prints and records the A/B. A round times path, which
+// runs copies of the disabled observer sites (sites of them) that one
+// operation of the first workload passes, in that operation's order,
+// then the first workload itself: the sequence's price over the per-op
+// CPU time (par CPUs share the wall clock). overheadGate checks the
+// median round, not the noisy A/B.
+func (c *Config) observerAB(exp, onName string, sites int, path func(copies int), n int, on, off func(), runs ...abRun) float64 {
 	// The observers share one slot, so a -record flight recorder would put
 	// the disabled runs on the enabled path: suspend it while measuring.
 	if suspended := histats.Record(nil); suspended != nil {
@@ -169,24 +172,21 @@ func (c *Config) observerAB(exp, onName string, sites, n int, on, off func(), ru
 	}
 	const rounds = 5
 	par := min(runtime.GOMAXPROCS(0), n)
-	var siteNs, computed [rounds]float64
+	type round struct{ siteNs, computed float64 }
+	var rs [rounds]round
 	fmt.Printf("\n    disabled-path overhead, %d sites/op (one disabled site: atomic load + branch):\n", sites)
 	fmt.Printf("%12s %14s %14s %12s\n", "round", "site ns/call", runs[0].name+" ns/op", "computed")
-	for i := range computed {
-		siteNs[i] = float64(timeIt(func() {
-			for j := 0; j < siteCalls; j++ {
-				histats.Step(histats.CtrBoundedUpdate)
-			}
-		}).Nanoseconds()) / siteCalls
+	for i := range rs {
+		pathNs := float64(timeIt(func() { path(pathCopies) }).Nanoseconds()) / pathCopies
 		offNs := float64(runs[0].run().Nanoseconds()) / float64(c.Ops)
-		computed[i] = 100 * float64(sites) * siteNs[i] / (float64(par) * offNs)
-		fmt.Printf("%12d %14.2f %14.1f %11.2f%%\n", i+1, siteNs[i], offNs, computed[i])
+		rs[i] = round{pathNs / float64(sites), 100 * pathNs / (float64(par) * offNs)}
+		fmt.Printf("%12d %14.2f %14.1f %11.2f%%\n", i+1, rs[i].siteNs, offNs, rs[i].computed)
 	}
-	slices.Sort(siteNs[:])
-	slices.Sort(computed[:])
-	med := computed[rounds/2]
-	fmt.Printf("%12s %14.2f %14s %11.2f%%\n", "median", siteNs[rounds/2], "", med)
-	c.Rec.Record(exp, "site/disabled", "ns/call", siteNs[rounds/2])
+	// The median round's own site price, not the median of the prices.
+	slices.SortFunc(rs[:], func(a, b round) int { return cmp.Compare(a.computed, b.computed) })
+	med := rs[rounds/2]
+	fmt.Printf("%12s %14.2f %14s %11.2f%%\n", "median", med.siteNs, "", med.computed)
+	c.Rec.Record(exp, "site/disabled", "ns/call", med.siteNs)
 
 	tOff := make([]time.Duration, len(runs))
 	tOn := make([]time.Duration, len(runs))
@@ -206,15 +206,15 @@ func (c *Config) observerAB(exp, onName string, sites, n int, on, off func(), ru
 		measured := 100 * float64(tOn[i]-tOff[i]) / float64(tOff[i])
 		cell := "-"
 		if i == 0 {
-			cell = fmt.Sprintf("%.2f%%", med)
+			cell = fmt.Sprintf("%.2f%%", med.computed)
 		}
 		fmt.Printf("%12s %12s %12s %11.1f%% %12s\n", r.name, perOp(tOff[i], c.Ops), perOp(tOn[i], c.Ops), measured, cell)
 		c.Rec.RecordPerOp(exp, r.name+"/disabled", tOff[i], c.Ops)
 		c.Rec.RecordPerOp(exp, r.name+"/"+onName, tOn[i], c.Ops)
 		c.Rec.Record(exp, r.name+"/measured-overhead", "percent", measured)
 	}
-	c.Rec.Record(exp, runs[0].name+"/computed-overhead", "percent", med)
-	return med
+	c.Rec.Record(exp, runs[0].name+"/computed-overhead", "percent", med.computed)
+	return med.computed
 }
 
 // overheadGate checks the median computed disabled-path overhead

@@ -13,8 +13,27 @@ import (
 
 // e24Sites is the per-operation hot-site budget of a raw-set update,
 // every disabled site it passes: one Step and one probe-length Observe
-// (lookups pass none). The E24 gate multiplies it by one site's price.
+// (lookups pass none). e24Path runs copies of them, the E24 gate's
+// price of one operation, twelve sites per iteration so that the price
+// does not hinge on where one short loop falls against a code line.
 const e24Sites = 2
+
+func e24Path(copies int) {
+	for i := 0; i < copies; i += 6 {
+		histats.Step(histats.CtrDestWritten)
+		histats.Observe(histats.HistProbeLen, 1)
+		histats.Step(histats.CtrDestWritten)
+		histats.Observe(histats.HistProbeLen, 1)
+		histats.Step(histats.CtrDestWritten)
+		histats.Observe(histats.HistProbeLen, 1)
+		histats.Step(histats.CtrDestWritten)
+		histats.Observe(histats.HistProbeLen, 1)
+		histats.Step(histats.CtrDestWritten)
+		histats.Observe(histats.HistProbeLen, 1)
+		histats.Step(histats.CtrDestWritten)
+		histats.Observe(histats.HistProbeLen, 1)
+	}
+}
 
 // measureE24 measures the histats metrics layer itself: a
 // disabled-vs-enabled A/B over the E21/E22-shaped workloads with the
@@ -38,7 +57,7 @@ func measureE24(c *Config) error {
 	}
 	var r *histats.Recorder
 	var snap *histats.Snapshot
-	computed := c.observerAB("E24", "enabled", e24Sites, n,
+	computed := c.observerAB("E24", "enabled", e24Sites, e24Path, n,
 		func() { r = histats.Enable() },
 		func() { snap = r.Snapshot(); histats.Disable() },
 		abRun{"set", runSet}, abRun{"map", runMap})

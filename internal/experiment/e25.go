@@ -11,6 +11,7 @@ import (
 	"hiconc/internal/hirec"
 	"hiconc/internal/histats"
 	"hiconc/internal/obj"
+	"hiconc/internal/spec"
 	"hiconc/internal/trace"
 )
 
@@ -89,9 +90,38 @@ func checkE25(*Config) error {
 }
 
 // e25Sites is the per-operation hot-site budget of an obj.HashSet
-// insert, every disabled site it passes: Invoke, hirec.OpEnd, one Step
-// and a probe-length Observe. The E25 gate multiplies it likewise.
-const e25Sites = 4
+// insert, every disabled site it passes: histats.Observing, then the
+// table's Step and probe-length Observe. e25Path runs copies of them as
+// e24Path does, twelve sites per iteration. Each check guards an Invoke
+// and an OpEnd, as the API layer's does, so that its disabled branch
+// compiles alike: a jump over them.
+const e25Sites = 3
+
+func e25Path(copies int) {
+	insert := histats.Op{Ctr: histats.CtrHashInsert, Name: spec.OpInsert}
+	for i := 0; i < copies; i += 4 {
+		if histats.Observing() {
+			hirec.OpEnd(histats.Invoke(insert, i), 0)
+		}
+		histats.Step(histats.CtrDestWritten)
+		histats.Observe(histats.HistProbeLen, 1)
+		if histats.Observing() {
+			hirec.OpEnd(histats.Invoke(insert, i), 0)
+		}
+		histats.Step(histats.CtrDestWritten)
+		histats.Observe(histats.HistProbeLen, 1)
+		if histats.Observing() {
+			hirec.OpEnd(histats.Invoke(insert, i), 0)
+		}
+		histats.Step(histats.CtrDestWritten)
+		histats.Observe(histats.HistProbeLen, 1)
+		if histats.Observing() {
+			hirec.OpEnd(histats.Invoke(insert, i), 0)
+		}
+		histats.Step(histats.CtrDestWritten)
+		histats.Observe(histats.HistProbeLen, 1)
+	}
+}
 
 // measureE25 measures the flight recorder itself and machine-checks what
 // it captures: a disabled-vs-recording A/B over an E21-shaped workload
@@ -114,7 +144,7 @@ func measureE25(c *Config) error {
 	runSet := func() time.Duration {
 		return runPerKey(preload(objSet{obj.NewHashSet(domain)}, domain/4), n, c.Ops/n, mixes)
 	}
-	computed := c.observerAB("E25", "recording", e25Sites, n,
+	computed := c.observerAB("E25", "recording", e25Sites, e25Path, n,
 		func() { histats.Record(hirec.NewRecorder(1 << 15)) },
 		func() { histats.Record(nil) },
 		abRun{"set", runSet})

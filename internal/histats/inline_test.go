@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// inlinedSites are the functions whose disabled path the E24/E25
-// overhead gates price as one atomic load and a branch, with no call:
-// every observer site of this package, the flight recorder's response
-// site, and the steppoint site at every protocol CAS of the table.
+// inlinedSites are the observer sites that must cost no call: every
+// site function of this package, the flight recorder's response site,
+// and the steppoint site at every protocol CAS of the table. The E24/E25
+// overhead gates price the disabled ones (Observing, Step, Observe) as
+// one atomic load and a branch each.
 var inlinedSites = map[string][]string{
-	"./internal/histats": {"Inc", "Add", "Observe", "Step", "Invoke", "OpStart"},
+	"./internal/histats": {"Observing", "Inc", "Add", "Observe", "Step", "Invoke", "OpStart"},
 	"./internal/hirec":   {"OpEnd"},
 	"./internal/hihash":  {"stepAt"},
 }

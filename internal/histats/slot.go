@@ -85,6 +85,12 @@ func SetStepHook(fn func(Counter)) { install(func(o *observers) { o.onStep = fn 
 // The sites: each loads the slot once and inlines (TestSitesInline), so
 // disabled it costs an atomic load and a branch.
 
+// Observing reports whether any observer is installed. The API-layer
+// operations test it first and, when it is false, run the operation
+// alone: a disabled operation then pays one load and a branch, and no
+// Token is built, spilled and checked across it.
+func Observing() bool { return slot.Enabled() }
+
 // Inc adds 1 to counter c.
 func Inc(c Counter) { Add(c, 1) }
 

@@ -42,8 +42,13 @@ func NewHashSetWithGroups(domain, nGroups int) *HashSet {
 // table grows. The API-layer observation sites — the histats operation
 // counters and the hirec invoke/return events — live here rather than
 // inside the table, so direct hihash users pay no per-operation sites
-// at all.
+// at all. With no observer installed, an operation pays one slot load
+// and a branch (histats.Observing) before it runs the table's.
 func (h *HashSet) Insert(v int) {
+	if !histats.Observing() {
+		h.s.Insert(v)
+		return
+	}
 	t := histats.Invoke(histats.Op{Ctr: histats.CtrHashInsert, Name: spec.OpInsert}, v)
 	h.s.Insert(v)
 	hirec.OpEnd(t, 0)
@@ -51,6 +56,10 @@ func (h *HashSet) Insert(v int) {
 
 // Remove deletes v.
 func (h *HashSet) Remove(v int) {
+	if !histats.Observing() {
+		h.s.Remove(v)
+		return
+	}
 	t := histats.Invoke(histats.Op{Ctr: histats.CtrHashRemove, Name: spec.OpRemove}, v)
 	h.s.Remove(v)
 	hirec.OpEnd(t, 0)
@@ -58,6 +67,9 @@ func (h *HashSet) Remove(v int) {
 
 // Contains reports whether v is in the set.
 func (h *HashSet) Contains(v int) bool {
+	if !histats.Observing() {
+		return h.s.Contains(v)
+	}
 	t := histats.Invoke(histats.Op{Ctr: histats.CtrHashLookup, Name: spec.OpLookup}, v)
 	in := h.s.Contains(v)
 	if in {
@@ -103,6 +115,9 @@ func NewHashMap(keys int) *HashMap {
 
 // Inc increments key's count and returns the previous count.
 func (h *HashMap) Inc(key int) int {
+	if !histats.Observing() {
+		return h.m.Inc(key)
+	}
 	t := histats.OpStart(spec.OpInc, key)
 	prev := h.m.Inc(key)
 	hirec.OpEnd(t, prev)
@@ -111,6 +126,9 @@ func (h *HashMap) Inc(key int) int {
 
 // Dec decrements key's count and returns the previous count.
 func (h *HashMap) Dec(key int) int {
+	if !histats.Observing() {
+		return h.m.Dec(key)
+	}
 	t := histats.OpStart(spec.OpDec, key)
 	prev := h.m.Dec(key)
 	hirec.OpEnd(t, prev)

@@ -71,8 +71,12 @@ func (s *HashSet) Apply(pid int, op core.Op) int {
 		panic(fmt.Sprintf("shard: set key %d out of range 1..%d", op.Arg, s.domain))
 	}
 	sl := s.route[op.Arg-1]
+	local := core.Op{Name: op.Name, Arg: sl.local}
+	if !histats.Observing() {
+		return s.shards[sl.shard].Apply(pid, local)
+	}
 	t := histats.OpStart(op.Name, op.Arg)
-	rsp := s.shards[sl.shard].Apply(pid, core.Op{Name: op.Name, Arg: sl.local})
+	rsp := s.shards[sl.shard].Apply(pid, local)
 	hirec.OpEnd(t, rsp)
 	return rsp
 }

@@ -145,11 +145,15 @@ func (s *Set) Apply(pid int, op core.Op) int {
 		panic(fmt.Sprintf("shard: set key %d out of range 1..%d", op.Arg, s.domain))
 	}
 	sl := s.route[op.Arg-1]
+	local := core.Op{Name: op.Name, Arg: sl.local}
+	if !histats.Observing() {
+		return s.shards[sl.shard].Apply(pid, local)
+	}
 	// The flight recorder sees the caller's view of the operation (the
 	// global key), not the shard-local remapping.
 	t := histats.Invoke(histats.Op{Ctr: histats.CtrShardOp, Name: op.Name}, op.Arg)
 	histats.Observe(histats.HistShardIndex, uint64(sl.shard))
-	rsp := s.shards[sl.shard].Apply(pid, core.Op{Name: op.Name, Arg: sl.local})
+	rsp := s.shards[sl.shard].Apply(pid, local)
 	hirec.OpEnd(t, rsp)
 	return rsp
 }
@@ -273,6 +277,9 @@ func (m *Map) Apply(pid int, op core.Op) int {
 		panic(fmt.Sprintf("shard: map key %d out of range 1..%d", op.Arg, m.keys))
 	}
 	sh := ShardOf(op.Arg, len(m.shards))
+	if !histats.Observing() {
+		return m.shards[sh].Apply(pid, op)
+	}
 	t := histats.Invoke(histats.Op{Ctr: histats.CtrShardOp, Name: op.Name}, op.Arg)
 	histats.Observe(histats.HistShardIndex, uint64(sh))
 	rsp := m.shards[sh].Apply(pid, op)
