@@ -328,32 +328,10 @@ func BenchmarkE21HashTable(b *testing.B) {
 		b.Run(fmt.Sprintf("zipf=%.2f/sharded-universal/S=16", s), func(b *testing.B) {
 			benchPerKey(b, shard.NewSet(n, domain, 16), n, mix)
 		})
-		b.Run(fmt.Sprintf("zipf=%.2f/sharded-hihash/S=16", s), func(b *testing.B) {
-			benchPerKey(b, shard.NewHashSet(n, domain, 16), n, mix)
-		})
 		b.Run(fmt.Sprintf("zipf=%.2f/syncmap", s), func(b *testing.B) {
 			benchPerKey(b, conc.NewSyncMapSet(), n, mix)
 		})
 	}
-}
-
-// BenchmarkE21HashMap is the multi-counter side of E21: the pointer-
-// bucket hihash map against the sharded universal-construction map under
-// Zipf-skewed per-key increments.
-func BenchmarkE21HashMap(b *testing.B) {
-	const n, keys = 8, 256
-	mix := func(pid int) []core.Op {
-		return workload.NewGen(int64(pid)).MapZipf(8192, keys, 1.2, 0.1)
-	}
-	b.Run("hihash-map", func(b *testing.B) {
-		benchPerKey(b, hihash.NewMap(keys, keys/4), n, mix)
-	})
-	b.Run("sharded-universal/S=16", func(b *testing.B) {
-		benchPerKey(b, shard.NewMap(n, keys, 16), n, mix)
-	})
-	b.Run("sharded-universal-combining/S=16", func(b *testing.B) {
-		benchPerKey(b, shard.NewCombiningMap(n, keys, 16), n, mix)
-	})
 }
 
 // --- E22: the unbounded HICHT — displacement and online resize ---

@@ -91,6 +91,19 @@ func parseProcs() ([]int, error) {
 	return procs, nil
 }
 
+// checkRanges rejects numeric flags no run can use: -ops sizes every
+// measured workload and divides its time, and -tick is -watch's redraw
+// interval.
+func checkRanges() error {
+	if *opsFlag < 1 {
+		return fmt.Errorf("bad -ops: count %d out of range (want >= 1)", *opsFlag)
+	}
+	if *watchFlag && *tickFlag <= 0 {
+		return fmt.Errorf("bad -tick: interval %v out of range (want > 0)", *tickFlag)
+	}
+	return nil
+}
+
 // rec accumulates measurement rows per experiment family for -json and
 // -check output (internal/benchfmt owns the document schema).
 var rec = benchfmt.NewRecorder()
@@ -102,6 +115,9 @@ func run() (retErr error) {
 	// already-measured families.
 	procs, err := parseProcs()
 	if err != nil {
+		return err
+	}
+	if err := checkRanges(); err != nil {
 		return err
 	}
 	if _, err := experiment.Select(experiment.Bench, *expFlag); err != nil {

@@ -59,6 +59,7 @@ func resetBench(t *testing.T) {
 	*tolFlag = 0.5
 	*maxOverheadFlag = 2.0
 	*watchFlag = false
+	*tickFlag = 500 * time.Millisecond
 	*httpFlag = ""
 	*recordFlag = ""
 }
@@ -147,6 +148,32 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `unknown experiment "E99"`) {
 		t.Errorf("unexpected error: %v", err)
+	}
+}
+
+// TestFlagRanges checks that an -ops or -watch -tick value no run can
+// use fails with a flag error before any family prints.
+func TestFlagRanges(t *testing.T) {
+	for _, tc := range []struct {
+		name, flag string
+		set        func()
+	}{
+		{"ops=0", "-ops", func() { *opsFlag = 0 }},
+		{"ops=-5", "-ops", func() { *opsFlag = -5 }},
+		{"watch-tick=0", "-tick", func() { *watchFlag, *tickFlag = true, 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resetBench(t)
+			*expFlag = "E10"
+			tc.set()
+			out, err := captureStdoutErr(run)
+			if err == nil || !strings.Contains(err.Error(), "bad "+tc.flag+":") {
+				t.Fatalf("err = %v, want a %s flag error", err, tc.flag)
+			}
+			if out != "" {
+				t.Fatalf("ran before rejecting %s:\n%s", tc.flag, out)
+			}
+		})
 	}
 }
 

@@ -32,5 +32,8 @@ func main() {
 // runSelected runs the experiments named by -exp (split from main so the
 // smoke tests can drive it in-process).
 func runSelected() error {
+	if *roundsFlag < 1 {
+		return fmt.Errorf("bad -rounds: count %d out of range (want >= 1)", *roundsFlag)
+	}
 	return experiment.Run(experiment.Starve, *expFlag, &experiment.Config{Rounds: *roundsFlag})
 }

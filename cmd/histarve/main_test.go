@@ -51,3 +51,27 @@ func TestUnknownExperiment(t *testing.T) {
 		t.Fatalf("-exp E99 ran experiments before rejecting the list:\n%s", out)
 	}
 }
+
+// TestRoundsRange: a round budget below 1 must fail with a flag error
+// before any adversary runs, not report a verdict over zero rounds.
+func TestRoundsRange(t *testing.T) {
+	*expFlag = "all"
+	*roundsFlag = 0
+	t.Cleanup(func() { *roundsFlag = 1000 })
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = w
+	runErr := runSelected()
+	os.Stdout = orig
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if runErr == nil || !strings.Contains(runErr.Error(), "bad -rounds:") {
+		t.Fatalf("-rounds 0: err = %v, want a -rounds flag error", runErr)
+	}
+	if len(out) != 0 {
+		t.Fatalf("-rounds 0 ran adversaries before rejecting the flag:\n%s", out)
+	}
+}

@@ -46,21 +46,20 @@
 //   - internal/shard — hash-partitioned scale-out objects composing many
 //     universal-construction instances into one history-independent set or
 //     multi-counter, plus the simulator harness that machine-checks the
-//     composition, and the hihash-backed direct-table variant (HashSet);
+//     composition;
 //   - internal/hihash — the HICHT subsystem: a lock-free hash table whose
 //     bucket groups are single CAS words holding keys in canonical
 //     priority order, with no serialization point. The bounded variant is
 //     perfectly HI; the unbounded variant adds cross-group Robin Hood
 //     displacement (marked, helped relocations) and online resize, and is
 //     state-quiescent HI — both shipped as machine-checked simulated
-//     twins and native sync/atomic ports (Set, Map). Since E26 the
+//     twins and a native sync/atomic port (Set). Since E26 the
 //     native read path is SWAR word-parallel, bounds its validation
 //     retries (falling back to helping after K failures) and runs
 //     allocation-free, with scalar slot classifiers kept as a
 //     differential-testing reference;
 //   - internal/obj — the user-facing objects (Counter, Register,
-//     MaxRegister, Queue, Stack, Set, ShardedSet, ShardedMap, HashSet,
-//     HashMap);
+//     MaxRegister, Queue, Stack, Set, ShardedSet, ShardedMap, HashSet);
 //   - internal/faultinject — the executable HI adversary: deterministic
 //     crash injection at the tables' labeled protocol steppoints, raw
 //     memory dumps and the canonical-distance differ (E23);

@@ -279,6 +279,16 @@ func (u *Universal) applyUpdate(i int, op core.Op) int {
 		}
 	}
 
+	return u.finish(i) // Lines 24-29
+}
+
+// finish is lines 24-29: process i takes the response posted in its
+// announce cell, erases its own record from head if one is still there,
+// and resets the cell. The line 27 RL releases the link of i's last line
+// 6 LL when no line 26 SC replaced that head: i can link a head that no
+// longer holds its record (a helper posted i's response and cleared the
+// record first), find the response at line 5 and leave the loop linked.
+func (u *Universal) finish(i int) int {
 	response := u.loadAnn(i) // Line 24
 	if response.kind != annRsp {
 		panic(fmt.Sprintf("conc: p%d reached line 24 without a response", i))

@@ -75,14 +75,15 @@ func insertRejectRate(a conc.Applier, mixes [][]core.Op) float64 {
 
 // measureE21 times the HICHT direct hash table against the sharded
 // universal construction and a sync.Map baseline, across load factors
-// and Zipf skews.
+// and Zipf skews, and the multi-counter on the sharded universal
+// construction, plain and combining.
 func measureE21(c *Config) error {
 	fmt.Println("=== E21: the HICHT direct hash table vs the universal-construction path")
 	const n, domain, mapKeys = 8, 16384, 256
 
 	fmt.Println("\n    set, 10% lookups, 8 goroutines (ns/op):")
-	fmt.Printf("%10s %16s %16s %18s %16s %12s\n",
-		"zipf", "hihash load=0.5", "hihash load=1.0", "sharded-universal", "sharded-hihash", "sync.Map")
+	fmt.Printf("%10s %16s %16s %18s %12s\n",
+		"zipf", "hihash load=0.5", "hihash load=1.0", "sharded-universal", "sync.Map")
 	type rejectRow struct {
 		zipf       float64
 		half, full float64
@@ -91,11 +92,10 @@ func measureE21(c *Config) error {
 	for _, s := range []float64{1.01, 1.5} {
 		mixes := zipfSet(n, domain, s, 0.1)
 		tag := fmt.Sprintf("set/zipf=%.2f", s)
-		fmt.Printf("%10.2f %16s %16s %18s %16s %12s\n", s,
+		fmt.Printf("%10.2f %16s %16s %18s %12s\n", s,
 			c.measurePerKey("E21", tag+"/hihash/load=0.5", hihash.NewSet(domain, domain/2), n, mixes),
 			c.measurePerKey("E21", tag+"/hihash/load=1.0", hihash.NewSet(domain, domain/4), n, mixes),
 			c.measurePerKey("E21", tag+"/sharded-universal/S=16", shard.NewSet(n, domain, 16), n, mixes),
-			c.measurePerKey("E21", tag+"/sharded-hihash/S=16", shard.NewHashSet(n, domain, 16), n, mixes),
 			c.measurePerKey("E21", tag+"/syncmap", conc.NewSyncMapSet(), n, mixes))
 		row := rejectRow{
 			zipf: s,
@@ -106,23 +106,22 @@ func measureE21(c *Config) error {
 		c.Rec.Record("E21", tag+"/hihash/load=0.5/reject", "reject-rate", row.half)
 		c.Rec.Record("E21", tag+"/hihash/load=1.0/reject", "reject-rate", row.full)
 	}
+	fmt.Println("    (the direct table has no serialization point at all: lookups are one")
+	fmt.Println("     atomic load, updates one CAS on the key's bucket group — every")
+	fmt.Println("     relocation the canonical layout needs is folded into that CAS)")
 	fmt.Println("\n    insert rejection rate of the bounded tables (RspFull; a rejected")
 	fmt.Println("    insert is one load, cheaper than a real insert — qualify ns/op with")
-	fmt.Println("    it; sharded-hihash displaces since E22 and never rejects):")
+	fmt.Println("    it):")
 	for _, r := range rejects {
 		fmt.Printf("      zipf=%.2f: load=0.5 %.2f%%, load=1.0 %.2f%%\n",
 			r.zipf, 100*r.half, 100*r.full)
 	}
 
 	fmt.Println("\n    multi-counter map, 10% reads, Zipf s=1.2 (ns/op):")
-	fmt.Printf("%16s %18s %22s\n", "hihash-map", "sharded-universal", "sharded-combining")
+	fmt.Printf("%18s %22s\n", "sharded-universal", "sharded-combining")
 	mapMixes := zipfMap(n, mapKeys, 1.2, 0.1)
-	fmt.Printf("%16s %18s %22s\n",
-		c.measurePerKey("E21", "map/hihash", hihash.NewMap(mapKeys, mapKeys/4), n, mapMixes),
+	fmt.Printf("%18s %22s\n",
 		c.measurePerKey("E21", "map/sharded-universal/S=16", shard.NewMap(n, mapKeys, 16), n, mapMixes),
 		c.measurePerKey("E21", "map/sharded-combining/S=16", shard.NewCombiningMap(n, mapKeys, 16), n, mapMixes))
-	fmt.Println("    (the direct table has no serialization point at all: lookups are one")
-	fmt.Println("     atomic load, updates one CAS on the key's bucket group — every")
-	fmt.Println("     relocation the canonical layout needs is folded into that CAS)")
 	return nil
 }

@@ -106,8 +106,7 @@ func checkE22(c *Config) error {
 }
 
 // measureE22 times the unbounded HICHT: a load-factor sweep past 1 with
-// zero RspFull, an insert storm that grows the table mid-flight, and the
-// online-growing map.
+// zero RspFull, and an insert storm that grows the table mid-flight.
 func measureE22(c *Config) error {
 	fmt.Println("=== E22: the unbounded HICHT — displacement and online resize")
 	const n, domain = 8, 8192
@@ -188,20 +187,5 @@ func measureE22(c *Config) error {
 		perOp(tGrow, stormOps), perOp(tPre, stormOps), perOp(tUni, stormOps), perOp(tSM, stormOps))
 	fmt.Printf("    (grew to %d groups with %d rejects; resize cost is the gap to pre-sized)\n",
 		growing.Applier.(*hihash.Set).NumGroups(), growing.fulls)
-
-	// The map side: the pointer-bucket map growing online from 4 buckets
-	// vs pre-sized vs the sharded universal construction.
-	fmt.Println("\n    multi-counter map, growing online (Zipf s=1.2, 10% reads; ns/op):")
-	const mapKeys = 4096
-	mapMixes := zipfMap(n, mapKeys, 1.2, 0.1)
-	growMap := hihash.NewMap(mapKeys, 4)
-	growCell := c.measurePerKey("E22", "map/hihash-growing/B0=4", growMap, n, mapMixes)
-	c.Rec.Record("E22", "map/hihash-growing/buckets", "buckets", float64(growMap.NumBuckets()))
-	fmt.Printf("%22s %16s %18s\n", "hihash-map(B0=4)", "pre-sized", "sharded-universal")
-	fmt.Printf("%22s %16s %18s\n",
-		growCell,
-		c.measurePerKey("E22", "map/hihash-presized", hihash.NewMap(mapKeys, mapKeys/4), n, mapMixes),
-		c.measurePerKey("E22", "map/sharded-universal/S=16", shard.NewMap(n, mapKeys, 16), n, mapMixes))
-	fmt.Printf("    (the growing map settled at %d buckets)\n", growMap.NumBuckets())
 	return nil
 }

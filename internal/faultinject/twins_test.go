@@ -13,7 +13,7 @@ import (
 // abstract state by different histories must be indistinguishable to an
 // adversary reading raw memory. For the bounded (perfect-HI) table the
 // dumps must be byte-identical at every trial; for the displacing table
-// at quiescence; for the map over its reachable heap words.
+// at quiescence.
 //
 // Geometries are chosen so the workload cannot change the geometry
 // mid-history (which would be a capacity side channel, not an HI
@@ -26,7 +26,6 @@ import (
 const (
 	boundedDomain, boundedGroups   = 16, 8
 	displaceDomain, displaceGroups = 8, 2
-	mapKeys, mapBuckets            = 24, 6
 )
 
 // TestBoundedTwinDumpsIdentical: the perfect-HI bounded table must dump
@@ -103,51 +102,6 @@ func TestDisplaceTwinDumpsIdentical(t *testing.T) {
 	}
 	if displaced == 0 {
 		t.Fatal("no trial exercised displacement; geometry too roomy")
-	}
-}
-
-// TestMapTwinDumpsIdentical: two maps driven to the same counts by
-// different inc/dec orders must agree on every heap word their buckets
-// reach.
-func TestMapTwinDumpsIdentical(t *testing.T) {
-	trials := 200
-	if testing.Short() {
-		trials = 40
-	}
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		counts := map[int]int{}
-		for k := 1; k <= mapKeys; k++ {
-			if rng.Intn(3) == 0 {
-				counts[k] = rng.Intn(4) + 1
-			}
-		}
-		history := func(seed int64) *hihash.Map {
-			hrng := rand.New(rand.NewSource(seed))
-			m := hihash.NewMap(mapKeys, mapBuckets)
-			var steps []func()
-			for k, v := range counts {
-				k := k
-				for i := 0; i < v; i++ {
-					steps = append(steps, func() { m.Inc(k) })
-				}
-			}
-			for i := 0; i < mapKeys/2; i++ {
-				k := hrng.Intn(mapKeys) + 1
-				steps = append(steps, func() { m.Inc(k) })
-				steps = append(steps, func() { m.Dec(k) })
-			}
-			hrng.Shuffle(len(steps), func(i, j int) { steps[i], steps[j] = steps[j], steps[i] })
-			for _, st := range steps {
-				st()
-			}
-			return m
-		}
-		a, b := history(int64(3000+trial)), history(int64(4000+trial))
-		da, db := a.RawDump(), b.RawDump()
-		if !bytes.Equal(da, db) {
-			t.Fatalf("trial %d: same counts %v, different heap dumps:\n a: %x\n b: %x", trial, counts, da, db)
-		}
 	}
 }
 

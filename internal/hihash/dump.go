@@ -1,11 +1,8 @@
 package hihash
 
 import (
-	"encoding/binary"
 	"sync/atomic"
 	"unsafe"
-
-	"hiconc/internal/conc"
 )
 
 // Raw memory dumps — the adversarial observer's view of the native Set.
@@ -57,32 +54,6 @@ func (s *Set) RawDump() []byte {
 
 // Domain returns the table's key domain (keys are 1..Domain).
 func (s *Set) Domain() int { return s.domain }
-
-// RawDump returns the byte image of the map's reachable heap data: per
-// bucket of the current array, the entry count followed by the raw bytes
-// of its canonical KV array, read through unsafe. Bucket pointers
-// themselves are heap addresses and never compared — what two history
-// twins must agree on is every word those pointers reach. Take dumps
-// only at quiescence.
-func (m *Map) RawDump() []byte {
-	st := m.st.Load()
-	var out []byte
-	for b := range st.buckets {
-		p := st.buckets[b].Load()
-		var kvs []conc.KV
-		if p != nil && p != uninit {
-			kvs = p.kvs
-		}
-		var hdr [8]byte
-		binary.LittleEndian.PutUint64(hdr[:], uint64(len(kvs)))
-		out = append(out, hdr[:]...)
-		if len(kvs) > 0 {
-			raw := unsafe.Slice((*byte)(unsafe.Pointer(&kvs[0])), int(unsafe.Sizeof(kvs[0]))*len(kvs))
-			out = append(out, raw...)
-		}
-	}
-	return out
-}
 
 // CanonicalWords returns the packed group words of the canonical
 // displaced layout of elems at geometry (domain, nGroups): what RawWords

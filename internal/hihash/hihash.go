@@ -42,9 +42,8 @@
 //     the displacing twin for StateQuiescent HI + linearizability
 //     (including schedules that cross an online resize), plus ablations
 //     the checker must refute (VariantAppend and DisplaceNoShift);
-//   - a native port (Set, Map) over sync/atomic words, exposed through
-//     internal/obj as HashSet/HashMap and through internal/shard as the
-//     direct table backend replacing the per-shard universal construction.
+//   - a native port (Set) over sync/atomic group words, exposed through
+//     internal/obj as HashSet.
 package hihash
 
 import (

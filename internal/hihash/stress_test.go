@@ -157,65 +157,3 @@ func TestStressDisplaceSetSharedKeys(t *testing.T) {
 		t.Fatalf("%d ghost windows open at crash-free quiescence, want 0", n)
 	}
 }
-
-// TestStressMapRandomizedResize hammers hihash.Map (disjoint key ranges
-// per goroutine plus forced grows) and checks final counts against a
-// mutex-guarded model and the canonical snapshot.
-func TestStressMapRandomizedResize(t *testing.T) {
-	const n, perProc = 8, 64
-	iters := 3000
-	if testing.Short() {
-		iters = 800
-	}
-	keys := n * perProc
-	m := hihash.NewMap(keys, 2) // tiny: bucketLimit growth plus forced grows
-	var mu sync.Mutex
-	model := map[int]int{}
-	var wg sync.WaitGroup
-	for pid := 0; pid < n; pid++ {
-		wg.Add(1)
-		go func(pid int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(pid)))
-			lo := pid * perProc
-			for i := 0; i < iters; i++ {
-				key := lo + rng.Intn(perProc) + 1
-				switch rng.Intn(3) {
-				case 0:
-					m.Inc(key)
-					mu.Lock()
-					model[key]++
-					mu.Unlock()
-				case 1:
-					m.Dec(key)
-					mu.Lock()
-					model[key]--
-					mu.Unlock()
-				default:
-					m.Get(key)
-				}
-				if i%1000 == 999 && pid == 0 {
-					m.Grow()
-				}
-			}
-		}(pid)
-	}
-	wg.Wait()
-	for k, v := range model {
-		if v == 0 {
-			delete(model, k)
-		}
-	}
-	got := m.Counts()
-	if len(got) != len(model) {
-		t.Fatalf("final counts: %d keys, model has %d", len(got), len(model))
-	}
-	for k, v := range model {
-		if got[k] != v {
-			t.Fatalf("count[%d] = %d, model %d", k, got[k], v)
-		}
-	}
-	if snap, canon := m.Snapshot(), hihash.CanonicalMapSnapshot(keys, m.NumBuckets(), model); snap != canon {
-		t.Fatalf("map memory not canonical at quiescence (buckets=%d):\n got:  %s\n want: %s", m.NumBuckets(), snap, canon)
-	}
-}

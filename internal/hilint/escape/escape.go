@@ -54,9 +54,6 @@ func HotPaths() []Hot {
 			"Set.displaceContains",
 			"fastScan",
 			"fastMatches",
-			"Map.Get",
-			"lookupKV",
-			"kvsOf",
 			"Set.findKey",
 			"Set.Insert",
 			"Set.Remove",

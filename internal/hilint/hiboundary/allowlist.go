@@ -15,7 +15,6 @@ var ReadPathFuncs = map[string]bool{
 	// The API lookups.
 	"Set.Contains":         true,
 	"Set.displaceContains": true,
-	"Map.Get":              true,
 	// The probeScan (fast, fixed-buffer) half of the scan split.
 	"fastScan":    true,
 	"fastMatches": true,
@@ -24,9 +23,6 @@ var ReadPathFuncs = map[string]bool{
 	"rescanMatches": true,
 	// Whole-table read-only sweeps.
 	"Set.findKey": true,
-	// Map read helpers.
-	"lookupKV": true,
-	"kvsOf":    true,
 }
 
 // AllowedCallees are the package-level functions, conversions and

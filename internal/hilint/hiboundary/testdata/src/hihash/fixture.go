@@ -47,7 +47,7 @@ func (s *Set) displaceContains(key uint64) bool {
 }
 
 // A read-path function calling a non-allowlisted method.
-func lookupKV(s *Set, key uint64) bool {
+func (s *Set) findKey(key uint64) bool {
 	s.mutate(key) // want `calls method mutate`
 	return false
 }

@@ -1,6 +1,6 @@
 // Package steppoint enforces the crash-matrix labeling convention of
-// the HI table protocols (internal/hihash): every atomic write to a
-// group or bucket word — the CAS words whose intermediate states the
+// the HI table protocol (internal/hihash): every atomic write to a
+// group word — the CAS words whose intermediate states the
 // E23 adversary crashes into — must be mapped to a labeled Steppoint,
 // i.e. its success path must call stepAt, so internal/faultinject's
 // (steppoint, occurrence) Kill matrix covers the new window. A protocol
@@ -24,12 +24,12 @@ import (
 // Analyzer is the steppoint check.
 var Analyzer = &analysis.Analyzer{
 	Name: "steppoint",
-	Doc:  "atomic writes to HI group/bucket words must map to a labeled Steppoint (stepAt on the success path) or carry an explicit exemption",
+	Doc:  "atomic writes to HI group words must map to a labeled Steppoint (stepAt on the success path) or carry an explicit exemption",
 	Run:  run,
 }
 
 // atomicWriters are the mutating methods of atomic.Uint64 /
-// atomic.Pointer the protocols use; Load is the only reader and is
+// atomic.Pointer the protocol uses; Load is the only reader and is
 // exempt by construction.
 var atomicWriters = map[string]bool{
 	"CompareAndSwap": true,
@@ -39,18 +39,16 @@ var atomicWriters = map[string]bool{
 }
 
 // wordFields are the struct fields holding the HI memory representation:
-// tableState.groups and mapState.buckets. Any atomic write whose
-// receiver reaches through one of these is a protocol step.
+// tableState.groups. Any atomic write whose receiver reaches through one
+// of these is a protocol step.
 var wordFields = map[string]bool{
-	"groups":  true,
-	"buckets": true,
+	"groups": true,
 }
 
 func run(pass *analysis.Pass) error {
 	if pass.Pkg.Name != "hihash" {
 		// The convention is the HI table's: other packages may name
-		// fields "buckets" (histats' histogram shards do) without their
-		// atomics being protocol steps.
+		// fields "groups" without their atomics being protocol steps.
 		return nil
 	}
 	for _, f := range pass.Pkg.Files {
@@ -89,13 +87,13 @@ func checkFunc(pass *analysis.Pass, f *analysis.File, fn *ast.FuncDecl) {
 			return true
 		}
 		pass.Reportf(f, call.Pos(),
-			"atomic %s on a group/bucket word has no Steppoint: call stepAt on the success path (so the E23 crash matrix covers the window) or annotate //hilint:allow steppoint (reason)",
+			"atomic %s on a group word has no Steppoint: call stepAt on the success path (so the E23 crash matrix covers the window) or annotate //hilint:allow steppoint (reason)",
 			sel.Sel.Name)
 		return true
 	})
 }
 
-// taintedVars collects local variables bound to a group/bucket word
+// taintedVars collects local variables bound to a group word
 // (e.g. g := &st.groups[i]), so writes through the alias are caught too.
 func taintedVars(body *ast.BlockStmt) map[string]bool {
 	tainted := map[string]bool{}
@@ -121,9 +119,9 @@ func taintedVars(body *ast.BlockStmt) map[string]bool {
 	return tainted
 }
 
-// touchesWordArray reports whether expr reaches into a groups/buckets
-// element — an index into a selector named groups or buckets, or (when
-// tainted is non-nil) a local alias of one.
+// touchesWordArray reports whether expr reaches into a groups element —
+// an index into a selector named groups, or (when tainted is non-nil) a
+// local alias of one.
 func touchesWordArray(expr ast.Expr, tainted map[string]bool) bool {
 	found := false
 	ast.Inspect(expr, func(n ast.Node) bool {
@@ -143,7 +141,7 @@ func touchesWordArray(expr ast.Expr, tainted map[string]bool) bool {
 }
 
 // mappedToSteppoint reports whether the atomic-write call's success path
-// calls stepAt. The two shapes the protocols use:
+// calls stepAt. The two shapes the protocol uses:
 //
 //	if w.CompareAndSwap(old, new) { stepAt(...); ... }   // body is the success path
 //	if !w.CompareAndSwap(old, new) { ...; continue }     // fallthrough is the success path

@@ -15,9 +15,9 @@ func TestSteppoint(t *testing.T) {
 	linttest.Run(t, "testdata/src/hihash", steppoint.Analyzer)
 }
 
-// TestSteppointScopedToHihash pins the package scoping: histats'
-// histogram shards have a field named "buckets" whose atomics are not
-// protocol steps — the analyzer must stay silent outside package hihash.
+// TestSteppointScopedToHihash pins the package scoping: a field named
+// "groups" outside package hihash holds no protocol words — the analyzer
+// must stay silent there.
 func TestSteppointScopedToHihash(t *testing.T) {
 	linttest.Run(t, "testdata/src/histats", steppoint.Analyzer)
 }

@@ -6,8 +6,7 @@ package hihash
 import "sync/atomic"
 
 type tableState struct {
-	groups  []atomic.Uint64
-	buckets []atomic.Uint64
+	groups []atomic.Uint64
 }
 
 type Steppoint int
@@ -42,7 +41,7 @@ func labeledNegated(st *tableState, old, next uint64) {
 func labeledInCase(st *tableState, mode int, old, next uint64) {
 	switch mode {
 	case 0:
-		if !st.buckets[0].CompareAndSwap(old, next) {
+		if !st.groups[2].CompareAndSwap(old, next) {
 			return
 		}
 		stepAt(SpGonePlaced)
@@ -68,10 +67,10 @@ func unlabeledAlias(st *tableState, v uint64) {
 // An exemption that states no reason suppresses nothing.
 func exemptionWithoutReason(st *tableState, v uint64) {
 	//hilint:allow steppoint
-	st.buckets[1].Store(v) // want `annotation without a reason`
+	st.groups[3].Store(v) // want `annotation without a reason`
 }
 
-// Atomics that do not touch group/bucket words are out of scope.
+// Atomics that do not touch group words are out of scope.
 func otherAtomics(c *atomic.Uint64) {
 	c.Add(1)
 }

@@ -1,15 +1,14 @@
 // Package histats is a scope fixture for the steppoint analyzer: a
-// field merely named "buckets" outside package hihash (the metrics
-// layer's histogram shards are the real instance) is not an HI word,
-// and its atomics are not protocol steps. No diagnostics expected.
+// field named "groups" outside package hihash is not an HI word, and its
+// atomics are not protocol steps. No diagnostics expected.
 package histats
 
 import "sync/atomic"
 
 type shard struct {
-	buckets [64]atomic.Uint64
+	groups [64]atomic.Uint64
 }
 
 func (sh *shard) observe(b int) {
-	sh.buckets[b].Add(1)
+	sh.groups[b].Add(1)
 }

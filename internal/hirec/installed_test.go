@@ -24,9 +24,9 @@ func TestDisabledNoops(t *testing.T) {
 	if histats.Recording() != nil {
 		t.Fatal("recorder installed at test start")
 	}
-	tok := histats.OpStart(spec.OpInsert, 7)
+	tok := histats.Invoke(histats.Op{Ctr: histats.CtrHashInsert, Name: spec.OpInsert}, 7)
 	if tok != (hirec.Token{}) {
-		t.Fatal("disabled OpStart returned a live token")
+		t.Fatal("disabled Invoke returned a live token")
 	}
 	hirec.OpEnd(tok, 0) // must not panic
 	histats.Step(histats.CtrMarkSet)
@@ -43,7 +43,7 @@ func TestRecordAndExtract(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < opsPer; i++ {
-				tok := histats.OpStart(spec.OpInsert, w*opsPer+i+1)
+				tok := histats.Invoke(histats.Op{Ctr: histats.CtrHashInsert, Name: spec.OpInsert}, w*opsPer+i+1)
 				histats.Step(histats.CtrBoundedUpdate)
 				hirec.OpEnd(tok, 0)
 			}
@@ -86,7 +86,7 @@ func TestRecordAndExtract(t *testing.T) {
 func TestTokenPinsRecorderAcrossDisable(t *testing.T) {
 	drain(t)
 	histats.Record(hirec.NewRecorder(16))
-	tok := histats.OpStart(spec.OpInc, 1)
+	tok := histats.Invoke(histats.Op{Ctr: histats.CtrShardOp, Name: spec.OpInc}, 1)
 	old := histats.Record(hirec.NewRecorder(16)) // a different recorder takes over
 	hirec.OpEnd(tok, 42)                         // must land on old, not the new one
 	fresh := histats.Record(nil)

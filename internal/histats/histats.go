@@ -65,11 +65,6 @@ const (
 	CtrHashRemove // Remove calls
 	CtrHashLookup // Contains calls
 
-	// hihash map update path (Get stays uninstrumented, like lookups).
-	CtrMapUpdate  // Inc/Dec calls
-	CtrMapCASFail // a bucket-pointer CAS lost its race
-	CtrMapGrow    // a bucket-array doubling was published
-
 	// Universal construction (conc).
 	CtrHeadRetry     // an SC on head failed (contention)
 	CtrUniversalHelp // a process applied another process's announced op
@@ -102,9 +97,6 @@ var counterNames = [NumCounters]string{
 	CtrHelpRelocate:  "help-relocate",
 	CtrLookupHelp:    "lookup-help",
 	CtrGhostSweep:    "ghost-sweep",
-	CtrMapUpdate:     "map-update",
-	CtrMapCASFail:    "map-cas-fail",
-	CtrMapGrow:       "map-grow",
 	CtrHeadRetry:     "head-retry",
 	CtrUniversalHelp: "universal-help",
 	CtrCombineBatch:  "combine-batch",
@@ -132,7 +124,6 @@ const (
 	HistLookupRetry             // validation retries of a lookup that retried at all
 	HistBatchSize               // operations folded into one combining SC
 	HistShardIndex              // which shard an operation routed to
-	HistBucketLen               // map bucket length after an update
 	HistUpdateNanos             // workload-side update latency (ns)
 	HistLookupNanos             // workload-side lookup latency (ns)
 
@@ -146,7 +137,6 @@ var histNames = [NumHists]string{
 	HistLookupRetry: "lookup-retries",
 	HistBatchSize:   "batch-size",
 	HistShardIndex:  "shard-index",
-	HistBucketLen:   "bucket-len",
 	HistUpdateNanos: "update-ns",
 	HistLookupNanos: "lookup-ns",
 }

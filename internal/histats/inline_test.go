@@ -13,7 +13,7 @@ import (
 // overhead gates price the disabled ones (Observing, Step, Observe) as
 // one atomic load and a branch each.
 var inlinedSites = map[string][]string{
-	"./internal/histats": {"Observing", "Inc", "Add", "Observe", "Step", "Invoke", "OpStart"},
+	"./internal/histats": {"Observing", "Inc", "Add", "Observe", "Step", "Invoke"},
 	"./internal/hirec":   {"OpEnd"},
 	"./internal/hihash":  {"stepAt"},
 }

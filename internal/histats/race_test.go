@@ -113,7 +113,6 @@ func TestConcurrentInstalls(t *testing.T) {
 			default:
 			}
 			hirec.OpEnd(Invoke(Op{Ctr: CtrHashInsert, Name: "insert"}, 1), 0)
-			hirec.OpEnd(OpStart("inc", 1), 0)
 			Step(CtrMarkSet)
 			Inc(CtrHashCASFail)
 			Observe(HistProbeLen, 1)

@@ -135,16 +135,8 @@ func Invoke(op Op, arg int) hirec.Token {
 	return hirec.Token{}
 }
 
-// OpStart is Invoke for an operation the metrics do not count.
-func OpStart(name string, arg int) hirec.Token {
-	if o := slot.Load(); o != nil {
-		return o.opStart(name, arg)
-	}
-	return hirec.Token{}
-}
-
-// The enabled paths, out of line (opStart by directive) so the sites
-// fit the inliner's budget.
+// The enabled paths, out of line (invoke by directive) so the sites fit
+// the inliner's budget.
 
 func (o *observers) step(c Counter) {
 	o.stats.Inc(c, 1)
@@ -156,15 +148,11 @@ func (o *observers) step(c Counter) {
 	}
 }
 
+//go:noinline
 func (o *observers) invoke(op Op, arg int) hirec.Token {
 	o.stats.Inc(op.Ctr, 1)
-	return o.opStart(op.Name, arg)
-}
-
-//go:noinline
-func (o *observers) opStart(name string, arg int) hirec.Token {
 	if o.flight != nil {
-		return o.flight.OpStart(name, arg)
+		return o.flight.OpStart(op.Name, arg)
 	}
 	return hirec.Token{}
 }

@@ -169,38 +169,3 @@ func TestHashSetSnapshotCanonicalProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestHashMapSnapshotMatchesShardedMapSemantics: the two map backends
-// must agree on counts for identical operation sequences, and the hash
-// map's memory must be canonical.
-func TestHashMapSnapshotMatchesShardedMapSemantics(t *testing.T) {
-	const keys = 24
-	sharded := obj.NewShardedMap(1, keys, 4)
-	hashed := obj.NewHashMap(keys)
-	h := sharded.Handle(0)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 300; i++ {
-		k := rng.Intn(keys) + 1
-		if rng.Intn(2) == 0 {
-			if a, b := h.Inc(k), hashed.Inc(k); a != b {
-				t.Fatalf("Inc(%d) responses diverge: %d vs %d", k, a, b)
-			}
-		} else {
-			if a, b := h.Dec(k), hashed.Dec(k); a != b {
-				t.Fatalf("Dec(%d) responses diverge: %d vs %d", k, a, b)
-			}
-		}
-	}
-	sc, hc := sharded.Counts(), hashed.Counts()
-	if len(sc) != len(hc) {
-		t.Fatalf("counts diverge: %v vs %v", sc, hc)
-	}
-	for k, v := range sc {
-		if hc[k] != v {
-			t.Fatalf("count for key %d diverges: %d vs %d", k, v, hc[k])
-		}
-	}
-	if want := hihash.CanonicalMapSnapshot(keys, 6, hc); hashed.Snapshot() != want {
-		t.Fatalf("hash map memory not canonical:\n got:  %s\n want: %s", hashed.Snapshot(), want)
-	}
-}

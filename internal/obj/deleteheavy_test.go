@@ -66,68 +66,3 @@ func TestHashSetDeleteHeavyQuiescentCanonical(t *testing.T) {
 		}
 	}
 }
-
-// TestHashMapDecHeavyQuiescentCanonical is the map counterpart: workers
-// skew toward Dec so counts keep hitting zero (zero-count entries must
-// vanish from the representation, not linger as tombstones).
-func TestHashMapDecHeavyQuiescentCanonical(t *testing.T) {
-	const keys, workers = 24, 8
-	rounds, opsPerWorker := 12, 300
-	if testing.Short() {
-		rounds, opsPerWorker = 4, 100
-	}
-	h := obj.NewHashMap(keys)
-	nBuckets := keys / 4 // NewHashMap's bucket sizing; dist stays under bucketLimit
-	for round := 0; round < rounds; round++ {
-		for k := 1; k <= keys; k++ {
-			if k%2 == 0 {
-				h.Inc(k)
-			}
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				for i := 0; i < opsPerWorker; i++ {
-					k := rng.Intn(keys) + 1
-					if rng.Intn(10) < 6 {
-						h.Dec(k)
-					} else {
-						h.Inc(k)
-					}
-				}
-			}(int64(1000 + round*workers + w))
-		}
-		wg.Wait()
-		counts := h.Counts()
-		if got, want := h.Snapshot(), hihash.CanonicalMapSnapshot(keys, nBuckets, counts); got != want {
-			t.Fatalf("round %d: quiescent memory not canonical for %v:\n got:  %s\n want: %s", round, counts, got, want)
-		}
-		for k := 1; k <= keys; k++ {
-			if got := h.Get(k); got != counts[k] {
-				t.Fatalf("round %d: Get(%d) = %d disagrees with Counts %v", round, k, got, counts)
-			}
-		}
-		// Drive the odd keys exactly to zero: a zeroed count must vanish
-		// from the representation entirely, not linger as a tombstone.
-		for k := 1; k <= keys; k += 2 {
-			for h.Get(k) > 0 {
-				h.Dec(k)
-			}
-			for h.Get(k) < 0 {
-				h.Inc(k)
-			}
-		}
-		counts = h.Counts()
-		for k := 1; k <= keys; k += 2 {
-			if v, ok := counts[k]; ok {
-				t.Fatalf("round %d: zeroed key %d lingers with count %d", round, k, v)
-			}
-		}
-		if got, want := h.Snapshot(), hihash.CanonicalMapSnapshot(keys, nBuckets, counts); got != want {
-			t.Fatalf("round %d: memory not canonical after zeroing odd keys:\n got:  %s\n want: %s", round, got, want)
-		}
-	}
-}

@@ -94,53 +94,3 @@ func (h *HashSet) Elements() []int { return h.s.Elements() }
 // Snapshot returns the memory representation (for HI inspection): the
 // canonical displaced layout at quiescence.
 func (h *HashSet) Snapshot() string { return h.s.Snapshot() }
-
-// HashMap is the user-facing lock-free history-independent multi-counter
-// over keys {1..keys}, built on per-bucket atomic pointers to canonical
-// immutable entry lists (internal/hihash). Like HashSet it needs no
-// per-process handles and no capacity planning: the bucket array grows
-// online when buckets lengthen.
-type HashMap struct {
-	m *hihash.Map
-}
-
-// NewHashMap creates a hash map over keys {1..keys}.
-func NewHashMap(keys int) *HashMap {
-	nBuckets := keys / 4
-	if nBuckets < 1 {
-		nBuckets = 1
-	}
-	return &HashMap{m: hihash.NewMap(keys, nBuckets)}
-}
-
-// Inc increments key's count and returns the previous count.
-func (h *HashMap) Inc(key int) int {
-	if !histats.Observing() {
-		return h.m.Inc(key)
-	}
-	t := histats.OpStart(spec.OpInc, key)
-	prev := h.m.Inc(key)
-	hirec.OpEnd(t, prev)
-	return prev
-}
-
-// Dec decrements key's count and returns the previous count.
-func (h *HashMap) Dec(key int) int {
-	if !histats.Observing() {
-		return h.m.Dec(key)
-	}
-	t := histats.OpStart(spec.OpDec, key)
-	prev := h.m.Dec(key)
-	hirec.OpEnd(t, prev)
-	return prev
-}
-
-// Get returns key's current count (one atomic load).
-func (h *HashMap) Get(key int) int { return h.m.Get(key) }
-
-// Counts returns the nonzero counts keyed by key; composite reads are
-// only atomic at quiescence.
-func (h *HashMap) Counts() map[int]int { return h.m.Counts() }
-
-// Snapshot returns the logical memory representation (for HI inspection).
-func (h *HashMap) Snapshot() string { return h.m.Snapshot() }

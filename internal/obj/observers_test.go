@@ -12,7 +12,6 @@ import (
 	"hiconc/internal/hirec"
 	"hiconc/internal/histats"
 	"hiconc/internal/obj"
-	"hiconc/internal/shard"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -20,9 +19,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // observedScript is one deterministic single-goroutine run through every
 // API layer that carries observer sites: a displacing obj.HashSet that
 // evicts, relocates, grows under insert pressure and by request, removes
-// and looks up; an obj.ShardedSet over universal-construction shards; an
-// obj.HashMap; and a shard.HashSet. The last two count nothing at the
-// API layer, which the golden pins as well.
+// and looks up; and an obj.ShardedSet over universal-construction shards.
 func observedScript() {
 	const domain = 64
 	s := obj.NewHashSetWithGroups(domain, 2)
@@ -60,19 +57,6 @@ func observedScript() {
 	ss.Remove(3)
 	ss.Contains(3)
 	ss.Contains(4)
-
-	m := obj.NewHashMap(16)
-	m.Inc(3)
-	m.Inc(3)
-	m.Dec(3)
-	m.Inc(7)
-	m.Get(3)
-
-	hs := shard.NewHashSet(1, 32, 2)
-	hs.Insert(0, 5)
-	hs.Insert(0, 6)
-	hs.Remove(0, 5)
-	hs.Contains(0, 6)
 }
 
 // TestObserversGolden pins what the three observers see of
